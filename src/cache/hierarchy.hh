@@ -42,7 +42,7 @@ class MemoryHierarchy
                              uint64_t rng_seed = 99);
 
     /** Deep copy (cache contents, prefetcher state, in-flight
-     *  prefetches): the chunked-replay seam handoff. */
+     *  prefetches), so a core copied mid-run continues exactly. */
     MemoryHierarchy(const MemoryHierarchy &other);
     MemoryHierarchy &operator=(const MemoryHierarchy &other);
 

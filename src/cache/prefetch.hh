@@ -41,8 +41,8 @@ class Prefetcher
     /** Forget learned state. */
     virtual void reset() = 0;
 
-    /** Deep copy, learned state included (chunked-replay seam
-     *  handoffs copy whole hierarchies). */
+    /** Deep copy, learned state included (a core copied mid-run
+     *  copies its whole hierarchy). */
     virtual std::unique_ptr<Prefetcher> clone() const = 0;
 };
 

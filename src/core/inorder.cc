@@ -288,14 +288,6 @@ InOrderCore::runSegmentGeneric(Stream &s, uint64_t max_insts)
     return consumed;
 }
 
-template <class Stream>
-uint64_t
-InOrderCore::runSegmentMulti(std::vector<InOrderCore> &cores,
-                             Stream &stream, uint64_t max_insts)
-{
-    return runLockstepSegment(cores, stream, max_insts);
-}
-
 template uint64_t
 InOrderCore::runSegment<vm::PackedStream>(vm::PackedStream &, uint64_t);
 template uint64_t
@@ -304,10 +296,6 @@ template uint64_t InOrderCore::runSegmentGeneric<vm::PackedStream>(
     vm::PackedStream &, uint64_t);
 template uint64_t InOrderCore::runSegmentGeneric<vm::SourceStream>(
     vm::SourceStream &, uint64_t);
-template uint64_t InOrderCore::runSegmentGeneric<vm::DecodedBlockStream>(
-    vm::DecodedBlockStream &, uint64_t);
-template uint64_t InOrderCore::runSegmentMulti<vm::PackedStream>(
-    std::vector<InOrderCore> &, vm::PackedStream &, uint64_t);
 
 CoreStats
 InOrderCore::finishRun()
@@ -336,10 +324,9 @@ InOrderCore::run(vm::TraceSource &source)
 }
 
 CoreStats
-InOrderCore::run(const vm::PackedTrace &trace,
-                 const ReplayOptions &options)
+InOrderCore::run(const vm::PackedTrace &trace)
 {
-    return runPackedTrace(*this, trace, options);
+    return runPackedTrace(*this, trace);
 }
 
 } // namespace raceval::core

@@ -223,14 +223,6 @@ IntervalCore::runSegmentGeneric(Stream &s, uint64_t max_insts)
     return consumed;
 }
 
-template <class Stream>
-uint64_t
-IntervalCore::runSegmentMulti(std::vector<IntervalCore> &cores,
-                              Stream &stream, uint64_t max_insts)
-{
-    return runLockstepSegment(cores, stream, max_insts);
-}
-
 template uint64_t
 IntervalCore::runSegment<vm::PackedStream>(vm::PackedStream &, uint64_t);
 template uint64_t
@@ -239,10 +231,6 @@ template uint64_t IntervalCore::runSegmentGeneric<vm::PackedStream>(
     vm::PackedStream &, uint64_t);
 template uint64_t IntervalCore::runSegmentGeneric<vm::SourceStream>(
     vm::SourceStream &, uint64_t);
-template uint64_t IntervalCore::runSegmentGeneric<vm::DecodedBlockStream>(
-    vm::DecodedBlockStream &, uint64_t);
-template uint64_t IntervalCore::runSegmentMulti<vm::PackedStream>(
-    std::vector<IntervalCore> &, vm::PackedStream &, uint64_t);
 
 CoreStats
 IntervalCore::finishRun()
@@ -270,10 +258,9 @@ IntervalCore::run(vm::TraceSource &source)
 }
 
 CoreStats
-IntervalCore::run(const vm::PackedTrace &trace,
-                  const ReplayOptions &options)
+IntervalCore::run(const vm::PackedTrace &trace)
 {
-    return runPackedTrace(*this, trace, options);
+    return runPackedTrace(*this, trace);
 }
 
 } // namespace raceval::core

@@ -346,14 +346,6 @@ OooCore::runSegmentGeneric(Stream &s, uint64_t max_insts)
     return consumed;
 }
 
-template <class Stream>
-uint64_t
-OooCore::runSegmentMulti(std::vector<OooCore> &cores, Stream &stream,
-                         uint64_t max_insts)
-{
-    return runLockstepSegment(cores, stream, max_insts);
-}
-
 template uint64_t
 OooCore::runSegment<vm::PackedStream>(vm::PackedStream &, uint64_t);
 template uint64_t
@@ -362,10 +354,6 @@ template uint64_t OooCore::runSegmentGeneric<vm::PackedStream>(
     vm::PackedStream &, uint64_t);
 template uint64_t OooCore::runSegmentGeneric<vm::SourceStream>(
     vm::SourceStream &, uint64_t);
-template uint64_t OooCore::runSegmentGeneric<vm::DecodedBlockStream>(
-    vm::DecodedBlockStream &, uint64_t);
-template uint64_t OooCore::runSegmentMulti<vm::PackedStream>(
-    std::vector<OooCore> &, vm::PackedStream &, uint64_t);
 
 CoreStats
 OooCore::finishRun()
@@ -395,9 +383,9 @@ OooCore::run(vm::TraceSource &source)
 }
 
 CoreStats
-OooCore::run(const vm::PackedTrace &trace, const ReplayOptions &options)
+OooCore::run(const vm::PackedTrace &trace)
 {
-    return runPackedTrace(*this, trace, options);
+    return runPackedTrace(*this, trace);
 }
 
 } // namespace raceval::core

@@ -44,12 +44,11 @@ class OooCore : public TimingModel
      */
     CoreStats run(vm::TraceSource &source) override;
 
-    /** Packed replay (serial or chunked per the resolved plan);
+    /** Packed replay: one runSegment pass over the whole trace;
      *  bit-identical to run(TraceSource&) over the same recording. */
-    CoreStats run(const vm::PackedTrace &trace,
-                  const ReplayOptions &options) override;
+    CoreStats run(const vm::PackedTrace &trace) override;
 
-    /// @name Segment interface (chunked replay, see core/replay.hh)
+    /// @name Segment interface (see core/replay.hh)
     /// @{
     /** Reset machine state and start a fresh accounting run. */
     void beginRun();
@@ -58,7 +57,7 @@ class OooCore : public TimingModel
      * Replay up to @p max_insts instructions from @p stream
      * (vm::PackedStream or vm::SourceStream; instantiated for both).
      * May be called repeatedly; a copy of the core mid-run continues
-     * from the same state (the BSP seam handoff).
+     * from the same state (the copy constructor carries all of it).
      *
      * @return instructions consumed.
      */
@@ -66,27 +65,11 @@ class OooCore : public TimingModel
     uint64_t runSegment(Stream &stream, uint64_t max_insts);
 
     /**
-     * Lockstep variant of runSegment over M per-config core states:
-     * block-cycles every core's ordinary runSegment over the same
-     * stream range (see core::runLockstepSegment), so solo and
-     * lockstep replay are bit-identical by construction. Instantiated
-     * for vm::PackedStream only (the driver records each block into a
-     * vm::DecodedEvent buffer that followers replay from).
-     * Every core must be mid-run (beginRun() called, same consumed
-     * count).
-     *
-     * @return instructions consumed.
-     */
-    template <class Stream>
-    static uint64_t runSegmentMulti(std::vector<OooCore> &cores,
-                                    Stream &stream, uint64_t max_insts);
-
-    /**
      * Test seam: identical contract to runSegment, but routes every
      * instruction -- including plain ALU -- through the generic step
      * body, so bit-identity of the tagged fast path is directly
      * checkable against the un-specialized accounting (instantiated
-     * for vm::PackedStream, vm::SourceStream, vm::DecodedBlockStream).
+     * for vm::PackedStream and vm::SourceStream).
      */
     template <class Stream>
     uint64_t runSegmentGeneric(Stream &stream, uint64_t max_insts);
@@ -119,9 +102,8 @@ class OooCore : public TimingModel
      * identical index sequence with no division. The trailing fields
      * are copies of CoreParams/ring sizes refreshed by resetState(),
      * keeping the per-instruction loop free of cold-struct loads.
-     * Plain members with default copy: the BSP seam handoff
-     * (core/replay.hh) clones cores mid-run and must carry this state
-     * verbatim.
+     * Plain members with default copy: a core copied mid-run must
+     * carry this state verbatim (tests/test_replay.cc checks it).
      */
     struct StepState
     {
@@ -176,8 +158,7 @@ class OooCore : public TimingModel
     void resetState();
 
     /**
-     * Per-instruction accounting, shared verbatim by runSegment (solo)
-     * and runSegmentMulti (lockstep): classify once on the
+     * Per-instruction accounting behind runSegment: classify once on the
      * precomputed 2-bit kind tag, then either take the minimal
      * plain-ALU fast path (never touches LSQ / MSHR / pending-store /
      * predictor machinery) or the generic body. @tparam Profiled

@@ -1,37 +1,25 @@
 /**
  * @file
- * Bulk-synchronous chunked replay over packed traces.
+ * Packed-trace replay through a family's segment interface.
  *
- * One long trace is statically partitioned into contiguous chunks
- * (Manticore-style static BSP partitioning, transposed from RTL to
- * trace replay). Chunk k runs to completion as a superstep; at the seam
- * the *entire* micro-architectural state -- pipeline occupancy rings,
- * cache and branch-predictor contents, store-buffer/MSHR reservations,
- * DRAM queue state -- is handed to a fresh model instance that replays
- * chunk k+1.
+ * Every family exposes beginRun() / runSegment() / finishRun(); a
+ * packed replay is one runSegment() pass over the whole trace. The
+ * timing recurrence is sequential -- each instruction consumes the
+ * state the previous one left -- so a single experiment does not
+ * split across threads. Parallelism comes from running independent
+ * (config, trace) experiments side by side: the engine dispatches
+ * every fresh evaluation of a racing step as its own thread-pool
+ * item.
  *
- * Determinism contract (enforced by tests/test_replay.cc for every
- * family x partition count):
- *
- *   - chunked replay is bit-identical to serial replay for all three
- *     timing-model families (inorder / ooo / interval), at every
- *     partition count, because the seam handoff transfers complete
- *     state: the concatenation of supersteps computes exactly the
- *     serial recurrence;
- *   - traces below the partition threshold (or a plan resolving to one
- *     chunk) silently fall back to plain serial replay;
- *   - the timing recurrence itself is sequential (each seam consumes
- *     the final state of the previous superstep), so supersteps
- *     pipeline across *traces*, not within one: a fleet of racer
- *     threads keeps every core busy with different (config, trace)
- *     experiments while each experiment stays bit-exact.
+ * runSegment() may still be called repeatedly, and a core copied
+ * mid-run continues from the same state; tests/test_replay.cc checks
+ * that each family's copy constructor carries all of it.
  */
 
 #ifndef RACEVAL_CORE_REPLAY_HH
 #define RACEVAL_CORE_REPLAY_HH
 
 #include <cstdint>
-#include <memory>
 
 #include "core/stats.hh"
 #include "obs/trace.hh"
@@ -40,164 +28,16 @@
 namespace raceval::core
 {
 
-/** How a packed trace is replayed. */
-enum class ReplayMode : uint8_t
-{
-    Auto,    //!< chunked when the plan says it pays off, else serial
-    Serial,  //!< always one chunk
-    Chunked  //!< partitioned supersteps (still falls back when short)
-};
-
-/** @return stable name ("auto" / "serial" / "chunked"). */
-const char *replayModeName(ReplayMode mode);
-
-/** Replay knobs (engine-wide; resolved per trace into a ReplayPlan). */
-struct ReplayOptions
-{
-    ReplayMode mode = ReplayMode::Auto;
-    /** Requested chunk count (0 = one per hardware thread). */
-    unsigned partitions = 0;
-    /** Minimum instructions per chunk; traces shorter than this never
-     *  partition (the serial-fallback threshold). */
-    uint64_t minPartitionInsts = 1ull << 16;
-    /** Requested lockstep config-batch width: how many candidate
-     *  configurations replay side-by-side over ONE stream pass (see
-     *  core/multi_replay.hh). 0 = auto (a sensible default width); 1
-     *  disables lockstep grouping entirely. Whatever is requested is
-     *  auto-capped so the combined per-config micro-architectural
-     *  state of one group stays within configStateBudgetBytes. */
-    unsigned configBatch = 0;
-    /** Cap on the summed approximate state bytes of one lockstep
-     *  group (cache tags + predictor tables + scoreboards per config);
-     *  keeps a group's working set cache-resident. 0 = uncapped. */
-    uint64_t configStateBudgetBytes = 8ull << 20;
-};
-
-/** The resolved decision for one (trace, options) pair. */
-struct ReplayPlan
-{
-    unsigned partitions = 1;
-
-    bool chunked() const { return partitions > 1; }
-};
-
-/**
- * Resolve the chunk count for a trace.
- *
- * Deterministic given (inst_count, options with explicit partitions);
- * partitions = 0 consults the hardware thread count, so pin it when
- * cross-machine bit-identity of the *plan* matters (the replay result
- * is bit-identical at any plan by the determinism contract).
- */
-ReplayPlan resolveReplayPlan(uint64_t inst_count,
-                             const ReplayOptions &options);
-
-/**
- * Replay a packed trace through a model's segment interface
- * (beginRun / runSegment / finishRun), honoring the resolved plan.
- *
- * Requires Model to be copy-constructible: each seam hands the full
- * state to a fresh copy, which is also what the bit-identity tests
- * leverage to catch any state a family forgets to carry.
- */
+/** Replay a packed trace from a clean machine state in one pass. */
 template <class Model>
 CoreStats
-runPackedTrace(Model &model, const vm::PackedTrace &trace,
-               const ReplayOptions &options)
+runPackedTrace(Model &model, const vm::PackedTrace &trace)
 {
-    ReplayPlan plan = resolveReplayPlan(trace.instCount(), options);
+    RV_SPAN("replay.pass", trace.instCount());
     vm::PackedStream stream(trace);
     model.beginRun();
-    if (!plan.chunked()) {
-        RV_SPAN("replay.chunk", trace.instCount());
-        model.runSegment(stream, ~uint64_t{0});
-        return model.finishRun();
-    }
-
-    uint64_t remaining = trace.instCount();
-    uint64_t chunk = (remaining + plan.partitions - 1) / plan.partitions;
-    Model *current = &model;
-    std::unique_ptr<Model> carrier;
-    for (;;) {
-        uint64_t n = chunk < remaining ? chunk : remaining;
-        {
-            RV_SPAN("replay.chunk", n);
-            current->runSegment(stream, n);
-        }
-        remaining -= n;
-        if (!remaining)
-            break;
-        // Seam: the complete micro-architectural state crosses into a
-        // fresh model instance for the next superstep.
-        carrier = std::make_unique<Model>(*current);
-        current = carrier.get();
-    }
-    return current->finishRun();
-}
-
-/** Instructions each core replays before the lockstep driver cycles to
- *  the next core of the group (see runLockstepSegment). Sized so a
- *  block's DecodedEvent buffer (16 B/inst = 128 KiB) stays L2-hot
- *  across every core of the group while each core's own tables stay
- *  hot for the whole block. */
-constexpr uint64_t lockstepBlockInsts = 8192;
-
-/**
- * Block-cycled lockstep segment driver: replay the same stream range
- * through M mid-run cores, decoding the trace once per block.
- *
- * Per-instruction interleaving of M core states defeats both the
- * register allocation of the solo segment loop and the L1 residency of
- * each core's tables, so the driver blocks over the trace instead:
- * every lockstepBlockInsts instructions, core 0 consumes the block
- * through a vm::RecordingStream that captures each instruction's fully
- * decoded form (static index, taken bit, successor, memory address)
- * into a flat 16-byte-per-event buffer; every remaining core then
- * replays the identical block through a vm::DecodedBlockStream over
- * that buffer. Followers therefore skip the stride-delta and
- * branch-bitfield reconstruction entirely -- their next() is a
- * bump-and-load from a cache-hot buffer -- which is the "decode once,
- * simulate M" saving, and each core's micro-architectural state stays
- * resident for a whole block.
- *
- * Bit-identity with solo replay is by construction: every core runs
- * the exact runSegment loop a solo replay runs, the recorded events
- * reproduce every accessor value of the PackedStream verbatim
- * (including the unspecified stale values of flag-unset fields), and
- * no timing state is shared between cores.
- *
- * @param cores mid-run cores (beginRun() called, equal consumed count).
- * @param stream the group's shared PackedStream; left positioned after
- *        the consumed range.
- * @return instructions consumed (same count for every core).
- */
-template <class Model>
-uint64_t
-runLockstepSegment(std::vector<Model> &cores, vm::PackedStream &stream,
-                   uint64_t max_insts)
-{
-    if (cores.empty())
-        return 0;
-    std::vector<vm::DecodedEvent> events;
-    events.reserve(static_cast<size_t>(
-        lockstepBlockInsts < max_insts ? lockstepBlockInsts : max_insts));
-    uint64_t consumed = 0;
-    while (consumed < max_insts) {
-        uint64_t block = lockstepBlockInsts;
-        if (block > max_insts - consumed)
-            block = max_insts - consumed;
-        events.clear();
-        vm::RecordingStream lead(stream, events);
-        uint64_t did = cores[0].runSegment(lead, block);
-        for (size_t i = 1; i < cores.size(); ++i) {
-            vm::DecodedBlockStream follow(stream.trace(), events);
-            cores[i].runSegment(follow, block);
-        }
-        consumed += did;
-        if (did < block)
-            break; // stream exhausted
-    }
-    return consumed;
+    model.runSegment(stream, ~uint64_t{0});
+    return model.finishRun();
 }
 
 } // namespace raceval::core

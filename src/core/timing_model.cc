@@ -21,13 +21,10 @@ makeModel(const CoreParams &params)
 } // namespace
 
 CoreStats
-TimingModel::run(const vm::PackedTrace &trace,
-                 const ReplayOptions &options)
+TimingModel::run(const vm::PackedTrace &trace)
 {
-    // Generic fallback for out-of-tree models: serial replay through
-    // the TraceSource interface (the plan is ignored; the result is
-    // bit-identical to any plan by the determinism contract).
-    (void)options;
+    // Generic fallback for out-of-tree models: replay through the
+    // TraceSource interface.
     vm::PackedCursor cursor(trace);
     return run(cursor);
 }

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "core/params.hh"
-#include "core/replay.hh"
 #include "core/stats.hh"
 #include "vm/packed_trace.hh"
 #include "vm/trace.hh"
@@ -55,17 +54,13 @@ class TimingModel
     virtual CoreStats run(vm::TraceSource &source) = 0;
 
     /**
-     * Replay a packed trace from a clean machine state, honoring the
-     * replay plan (chunked supersteps or serial). Bit-identical to
-     * run(TraceSource&) over the same recording at any plan -- the
-     * determinism contract documented in core/replay.hh.
+     * Replay a packed trace from a clean machine state. Bit-identical
+     * to run(TraceSource&) over the same recording.
      *
-     * The default implementation replays serially through a
-     * PackedCursor; the built-in families override it with the packed
-     * segment loop + BSP seam handoff.
+     * The default implementation replays through a PackedCursor; the
+     * built-in families override it with their packed segment loop.
      */
-    virtual CoreStats run(const vm::PackedTrace &trace,
-                          const ReplayOptions &options);
+    virtual CoreStats run(const vm::PackedTrace &trace);
 
     /** @return the active configuration. */
     virtual const CoreParams &params() const = 0;

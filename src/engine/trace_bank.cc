@@ -125,47 +125,39 @@ TraceBank::tryAdmit(Entry &entry)
         RV_INSTANT("bank.admit", insts);
 }
 
-std::unique_ptr<vm::TraceSource>
-TraceBank::open(size_t id)
+TraceBank::Replay
+TraceBank::replay(size_t id)
 {
     Entry &entry = entryFor(id);
     record(entry);
-    std::shared_ptr<const vm::PackedTrace> packed;
+    Replay out;
     {
         std::lock_guard<std::mutex> lock(mutex);
         ++counters.replays;
-        packed = entry.packedTrace;
-        if (!packed)
+        out.packed = entry.packedTrace;
+        if (!out.packed)
             entry.servedSpilled = true;
     }
-    if (!packed) {
+    if (!out.packed) {
         // Spilled: retry admission (the budget may have been raised or
         // freed since recording) rather than re-walking the sift
         // stream on every replay.
         tryAdmit(entry);
         std::lock_guard<std::mutex> lock(mutex);
-        packed = entry.packedTrace;
+        out.packed = entry.packedTrace;
     }
-    if (packed)
-        return std::make_unique<vm::PackedCursor>(std::move(packed));
-    return std::make_unique<sift::SiftCursor>(entry.trace);
+    if (!out.packed)
+        out.spilled = std::make_unique<sift::SiftCursor>(entry.trace);
+    return out;
 }
 
-std::shared_ptr<const vm::PackedTrace>
-TraceBank::packed(size_t id)
+std::unique_ptr<vm::TraceSource>
+TraceBank::open(size_t id)
 {
-    Entry &entry = entryFor(id);
-    record(entry);
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        ++counters.replays;
-        if (entry.packedTrace)
-            return entry.packedTrace;
-        entry.servedSpilled = true;
-    }
-    tryAdmit(entry);
-    std::lock_guard<std::mutex> lock(mutex);
-    return entry.packedTrace;
+    Replay r = replay(id);
+    if (r.packed)
+        return std::make_unique<vm::PackedCursor>(std::move(r.packed));
+    return std::move(r.spilled);
 }
 
 uint64_t

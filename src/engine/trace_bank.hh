@@ -37,7 +37,7 @@ struct TraceBankStats
 {
     uint64_t instances = 0;     //!< registered programs
     uint64_t recordings = 0;    //!< functional executions performed
-    uint64_t replays = 0;       //!< replay handles opened
+    uint64_t replays = 0;       //!< replays served (one per run)
     uint64_t recordedInsts = 0; //!< dynamic instructions recorded
     uint64_t residentTraces = 0; //!< traces with a packed in-memory form
     uint64_t spilledTraces = 0; //!< traces kept as sift bytes only
@@ -86,6 +86,24 @@ class TraceBank
     /** @return the program behind an instance. */
     const isa::Program &program(size_t id) const;
 
+    /** What one replay of an instance runs over: exactly one member
+     *  is set. */
+    struct Replay
+    {
+        /** The resident packed form (the hot path). */
+        std::shared_ptr<const vm::PackedTrace> packed;
+        /** A cursor over the sift encoding, when the trace is spilled. */
+        std::unique_ptr<vm::TraceSource> spilled;
+    };
+
+    /**
+     * Acquire one replay of an instance's recorded trace -- the replay
+     * hot path: the packed form when resident, else a sift cursor.
+     * Records on first use and retries admission of a spilled trace
+     * once. Counts one replay.
+     */
+    Replay replay(size_t id);
+
     /**
      * Open a replay handle over an instance's recorded trace.
      *
@@ -95,16 +113,6 @@ class TraceBank
      * byte-identical to live functional execution.
      */
     std::unique_ptr<vm::TraceSource> open(size_t id);
-
-    /**
-     * The packed form of an instance's recorded trace -- the replay
-     * hot path. Records on first use and re-admits a spilled trace
-     * when the budget allows.
-     *
-     * @return the shared packed trace, or null while the trace is
-     *         spilled (caller falls back to open()).
-     */
-    std::shared_ptr<const vm::PackedTrace> packed(size_t id);
 
     /** @return dynamic instruction count of an instance (records it). */
     uint64_t instCount(size_t id);

@@ -21,8 +21,9 @@
  * taxonomy): "<subsystem>.<operation>", lowercase, static string
  * literals only -- the ring stores the pointer, not a copy. Current
  * spans: race.run / race.iteration / race.step, engine.batch /
- * engine.eval, replay.chunk, replay.lockstep, bank.record, cache.save
- * / cache.load / cache.map, campaign.task / campaign.checkpoint;
+ * engine.eval, replay.pass (one per packed replay), bank.record,
+ * cache.save / cache.load / cache.map, campaign.task /
+ * campaign.checkpoint;
  * instants: bank.spill / bank.admit / bank.readmit / heartbeat.tick.
  *
  * -DRACEVAL_DISABLE_OBS compiles RV_SPAN / RV_INSTANT to nothing.
@@ -125,7 +126,7 @@ class Span
     }
 
     /** @param arg one uint64 payload, shown as args.v in the viewer
-     *  (instance ids, chunk indices, batch sizes). */
+     *  (instance ids, trace lengths, batch sizes). */
     Span(const char *static_name, uint64_t arg) noexcept
         : Span(static_name)
     {

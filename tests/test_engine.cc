@@ -259,6 +259,44 @@ TEST(Engine, BatchDeduplicatesIdenticalKeys)
     EXPECT_EQ(engine.stats().evaluations, 2u);
 }
 
+// A spilled trace replays from its sift encoding. Each fresh
+// evaluation is one bank replay (and one admission retry), whether it
+// runs through evaluateModel or a batch, and its value matches the
+// packed path's.
+TEST(Engine, SpilledReplayCountsOncePerFreshEval)
+{
+    EngineOptions spill;
+    spill.memoryResidentMaxInsts = 16; // forces the spill path
+    EvalEngine spilled(core::ModelFamily::InOrder, spill);
+    EvalEngine resident(core::ModelFamily::InOrder);
+    isa::Program prog = smallProgram("MC", 6000);
+    size_t id = spilled.addInstance(prog);
+    size_t resident_id = resident.addInstance(prog);
+
+    const unsigned n = 5;
+    std::vector<core::CoreParams> models(n, core::publicInfoA53());
+    for (unsigned i = 0; i < n; ++i)
+        models[i].mispredictPenalty = 4 + i;
+
+    spilled.evaluateModel(models[0], id);
+    BatchEvaluator batch(spilled);
+    std::vector<BatchEvaluator::Ticket> tickets;
+    for (unsigned i = 1; i < n; ++i)
+        tickets.push_back(batch.submitModel(models[i], id));
+    batch.collect();
+
+    EngineStats stats = spilled.stats();
+    EXPECT_EQ(stats.evaluations, n);
+    EXPECT_EQ(stats.bank.replays, n);
+    EXPECT_EQ(stats.bank.spilledTraces, 1u);
+    EXPECT_EQ(stats.bank.readmittedTraces, 0u);
+    for (unsigned i = 1; i < n; ++i) {
+        EXPECT_EQ(batch.simCpi(tickets[i - 1]),
+                  resident.evaluateModel(models[i], resident_id).simCpi)
+            << "model " << i;
+    }
+}
+
 TEST(Engine, WarmStartSurvivesRegistrationOrder)
 {
     isa::Program prog_a = smallProgram("EI", 5000);

@@ -17,7 +17,7 @@
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
-#include "core/multi_replay.hh"
+#include "core/timing_model.hh"
 #include "core/params.hh"
 #include "obs/heartbeat.hh"
 #include "obs/metrics.hh"
@@ -385,34 +385,26 @@ TEST(Trace, RacingIsBitIdenticalWithTracingEnabled)
     EXPECT_EQ(off.iterations, on.iterations);
 }
 
-TEST(Trace, LockstepReplayRecordsSpanAndWidthHistogram)
+TEST(Trace, PackedReplayRecordsOnePassSpan)
 {
-    obs::MetricRegistry &reg = obs::MetricRegistry::instance();
-    reg.resetForTest();
-
     const ubench::UbenchInfo *info = ubench::find("CCh");
     ASSERT_NE(info, nullptr);
     isa::Program prog = info->builder(6007, true);
     vm::FunctionalCore live(prog);
     vm::PackedTrace trace = vm::PackedTrace::build(prog, live);
 
-    std::vector<core::CoreParams> configs(3, core::publicInfoA53());
     std::string json;
     {
-        TraceSession session("test_obs_lockstep.json");
-        core::runPackedTraceMultiFamily(core::ModelFamily::InOrder,
-                                        configs, trace, {});
+        TraceSession session("test_obs_replay.json");
+        core::makeTimingModel(core::ModelFamily::InOrder,
+                              core::publicInfoA53())
+            ->run(trace);
         json = obs::traceEventsJson();
     }
-    // The group's stream pass must announce itself as a lockstep span
-    // (with its per-chunk children) in the Chrome trace...
-    EXPECT_NE(json.find("\"replay.lockstep\""), std::string::npos);
-    EXPECT_NE(json.find("\"replay.chunk\""), std::string::npos);
-#ifndef RACEVAL_DISABLE_OBS
-    // ...and record the group width in the metrics registry.
-    EXPECT_EQ(reg.histogram("replay.lockstep_width").count(), 1u);
-#endif
-    reg.resetForTest();
+    // A packed replay is one runSegment pass, announced as one span.
+    size_t first = json.find("\"replay.pass\"");
+    ASSERT_NE(first, std::string::npos);
+    EXPECT_EQ(json.find("\"replay.pass\"", first + 1), std::string::npos);
 }
 
 // ------------------------------------------------------------- Heartbeat

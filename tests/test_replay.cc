@@ -1,12 +1,14 @@
-/** @file Packed-replay determinism tests: the bit-identity contract of
- *  chunked (BSP seam-handoff) replay vs serial replay for every timing
- *  family, the serial fallback for short traces, TraceBank residency
- *  re-admission, and the v3 (sorted, mmap-able) EvalCache file format. */
+/** @file Packed-replay determinism tests: a core copied mid-run
+ *  continues exactly like an uninterrupted run for every timing family,
+ *  packed replay matches the generic TraceSource run, TraceBank
+ *  residency re-admission, and the v3 (sorted, mmap-able) EvalCache
+ *  file format. */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <unistd.h>
 
@@ -25,8 +27,6 @@
 
 using namespace raceval;
 using core::ModelFamily;
-using core::ReplayMode;
-using core::ReplayOptions;
 
 namespace
 {
@@ -70,134 +70,72 @@ const ModelFamily allFamilies[] = {ModelFamily::InOrder,
                                    ModelFamily::Ooo,
                                    ModelFamily::Interval};
 
-core::CoreStats
-runPlanned(ModelFamily family, const core::CoreParams &params,
-           const vm::PackedTrace &trace, const ReplayOptions &opts)
+/**
+ * Run half the trace through runSegment, copy-construct the core,
+ * destroy the original, run the copy to the end and require the
+ * uninterrupted run's stats. Catches any state a family's copy
+ * constructor forgets to carry, or leaves pointing into the original.
+ */
+template <class Model>
+void
+copyMidRunCheck(const core::CoreParams &params,
+                const vm::PackedTrace &trace, const std::string &what)
 {
-    return core::makeTimingModel(family, params)->run(trace, opts);
+    Model reference(params);
+    core::CoreStats want = core::runPackedTrace(reference, trace);
+
+    auto first = std::make_unique<Model>(params);
+    first->beginRun();
+    vm::PackedStream stream(trace);
+    first->runSegment(stream, trace.instCount() / 2);
+    Model copy(*first);
+    first.reset();
+    copy.runSegment(stream, ~uint64_t{0});
+    expectBitIdentical(want, copy.finishRun(), what);
+}
+
+/** copyMidRunCheck for every built-in family. */
+void
+copyMidRunCheckAllFamilies(const core::CoreParams &params,
+                           const vm::PackedTrace &trace,
+                           const std::string &what)
+{
+    copyMidRunCheck<core::InOrderCore>(params, trace, what + "/inorder");
+    copyMidRunCheck<core::OooCore>(params, trace, what + "/ooo");
+    copyMidRunCheck<core::IntervalCore>(params, trace,
+                                        what + "/interval");
 }
 
 } // namespace
 
-// ------------------------------------------------------------ ReplayPlan
+// ------------------------------------------------------ mid-run copies
 
-TEST(ReplayPlan, SerialModeAlwaysOneChunk)
+TEST(PackedReplay, CopyMidRunMatchesUninterruptedAllFamilies)
 {
-    ReplayOptions opts;
-    opts.mode = ReplayMode::Serial;
-    opts.partitions = 64;
-    opts.minPartitionInsts = 1;
-    EXPECT_EQ(core::resolveReplayPlan(1'000'000, opts).partitions, 1u);
-    EXPECT_FALSE(core::resolveReplayPlan(1'000'000, opts).chunked());
+    copyMidRunCheckAllFamilies(core::publicInfoA53(),
+                               packProgram(smallProgram("CCh", 10007)),
+                               "CCh");
 }
 
-TEST(ReplayPlan, ShortTracesFallBackToSerialSilently)
+// The copy point lands mid-pattern in branch-heavy and memory-striding
+// ubenchs (prime lengths): delta chains and predictor state straddle
+// it.
+TEST(PackedReplay, CopyMidRunStraddlingBranchAndMemPatterns)
 {
-    ReplayOptions opts;
-    opts.mode = ReplayMode::Chunked;
-    opts.partitions = 8;
-    opts.minPartitionInsts = 1 << 16;
-    // Shorter than one minimum chunk: one partition, no matter what
-    // was requested.
-    EXPECT_EQ(core::resolveReplayPlan(100, opts).partitions, 1u);
-    EXPECT_EQ(core::resolveReplayPlan((1 << 16) - 1, opts).partitions,
-              1u);
-    // Exactly two minimum chunks: at most two partitions.
-    EXPECT_EQ(core::resolveReplayPlan(2ull << 16, opts).partitions, 2u);
-}
-
-TEST(ReplayPlan, CapsAtMinimumChunkSize)
-{
-    ReplayOptions opts;
-    opts.mode = ReplayMode::Chunked;
-    opts.partitions = 64;
-    opts.minPartitionInsts = 10;
-    EXPECT_EQ(core::resolveReplayPlan(100, opts).partitions, 10u);
-    opts.partitions = 4;
-    EXPECT_EQ(core::resolveReplayPlan(100, opts).partitions, 4u);
-}
-
-TEST(ReplayPlan, ZeroPartitionsConsultsHardware)
-{
-    ReplayOptions opts;
-    opts.mode = ReplayMode::Chunked;
-    opts.partitions = 0;
-    opts.minPartitionInsts = 1;
-    unsigned hw = std::thread::hardware_concurrency();
-    if (hw == 0)
-        hw = 1;
-    EXPECT_EQ(core::resolveReplayPlan(1ull << 40, opts).partitions, hw);
-}
-
-// ---------------------------------------------------------- bit-identity
-
-// The tentpole contract: chunked replay is bit-identical to serial
-// replay for every family at every partition count, because each seam
-// hands the complete micro-architectural state across.
-TEST(PackedReplay, ChunkedBitIdenticalToSerialAllFamilies)
-{
-    core::CoreParams params = core::publicInfoA53();
-    isa::Program prog = smallProgram("CCh");
-    vm::PackedTrace trace = packProgram(prog);
-
-    unsigned hw = std::thread::hardware_concurrency();
-    if (hw == 0)
-        hw = 1;
-    const unsigned partition_counts[] = {1, 2, 7, hw};
-
-    for (ModelFamily family : allFamilies) {
-        ReplayOptions serial;
-        serial.mode = ReplayMode::Serial;
-        core::CoreStats reference =
-            runPlanned(family, params, trace, serial);
-        for (unsigned partitions : partition_counts) {
-            ReplayOptions chunked;
-            chunked.mode = ReplayMode::Chunked;
-            chunked.partitions = partitions;
-            chunked.minPartitionInsts = 1;
-            core::CoreStats stats =
-                runPlanned(family, params, trace, chunked);
-            expectBitIdentical(
-                reference, stats,
-                std::string(core::modelFamilyName(family)) + " x "
-                    + std::to_string(partitions) + " partitions");
-        }
-    }
-}
-
-// Seam positions must be safe wherever they land: partition counts
-// that do not divide the trace put seams mid-pattern in branch-heavy
-// and memory-striding ubenchs (delta chains and predictor state
-// straddle the seam).
-TEST(PackedReplay, SeamStraddlingBranchAndMemPatterns)
-{
-    core::CoreParams params = core::publicInfoA53();
     const char *benches[] = {"CCh", "CRd", "MC", "MCS"};
     for (const char *name : benches) {
         const ubench::UbenchInfo *info = ubench::find(name);
         if (!info)
             continue; // suite membership varies; cover what exists
-        isa::Program prog = info->builder(9973, true); // prime length
-        vm::PackedTrace trace = packProgram(prog);
-        ReplayOptions serial;
-        serial.mode = ReplayMode::Serial;
-        ReplayOptions chunked;
-        chunked.mode = ReplayMode::Chunked;
-        chunked.partitions = 7;
-        chunked.minPartitionInsts = 1;
-        for (ModelFamily family : allFamilies) {
-            expectBitIdentical(
-                runPlanned(family, params, trace, serial),
-                runPlanned(family, params, trace, chunked),
-                std::string(name) + " / "
-                    + core::modelFamilyName(family));
-        }
+        copyMidRunCheckAllFamilies(core::publicInfoA53(),
+                                   packProgram(info->builder(9973, true)),
+                                   name);
     }
 }
 
-// The packed serial path must agree with the generic TraceSource run
-// over the same recording (the duck-typed streams share one loop).
-TEST(PackedReplay, PackedSerialMatchesSourceRun)
+// The packed path must agree with the generic TraceSource run over the
+// same recording (the duck-typed streams share one loop).
+TEST(PackedReplay, PackedMatchesSourceRun)
 {
     core::CoreParams params = core::publicInfoA53();
     isa::Program prog = smallProgram("MC");
@@ -206,66 +144,8 @@ TEST(PackedReplay, PackedSerialMatchesSourceRun)
         vm::FunctionalCore live(prog);
         core::CoreStats from_source =
             core::makeTimingModel(family, params)->run(live);
-        ReplayOptions serial;
-        serial.mode = ReplayMode::Serial;
         expectBitIdentical(from_source,
-                           runPlanned(family, params, trace, serial),
-                           core::modelFamilyName(family));
-    }
-}
-
-// Drive the seam API directly (beginRun / runSegment / copy /
-// finishRun) at a deliberately awkward split, catching any state a
-// family's copy constructor forgets to carry.
-template <class Model>
-static void
-directSeamCheck(const core::CoreParams &params,
-                const vm::PackedTrace &trace, const char *what)
-{
-    ReplayOptions serial;
-    serial.mode = ReplayMode::Serial;
-    Model reference(params);
-    core::CoreStats want =
-        core::runPackedTrace(reference, trace, serial);
-
-    Model first(params);
-    first.beginRun();
-    vm::PackedStream stream(trace);
-    uint64_t split = trace.instCount() / 3 + 1;
-    first.runSegment(stream, split);
-    Model second(first); // the seam handoff
-    second.runSegment(stream, ~uint64_t{0});
-    expectBitIdentical(want, second.finishRun(), what);
-}
-
-TEST(PackedReplay, DirectSeamHandoffMatchesSerial)
-{
-    core::CoreParams params = core::publicInfoA53();
-    isa::Program prog = smallProgram("CCh", 10007);
-    vm::PackedTrace trace = packProgram(prog);
-    directSeamCheck<core::InOrderCore>(params, trace, "inorder");
-    directSeamCheck<core::OooCore>(params, trace, "ooo");
-    directSeamCheck<core::IntervalCore>(params, trace, "interval");
-}
-
-// Short traces silently run serial through the full run() entry point
-// (no chunking machinery below the threshold), and still match.
-TEST(PackedReplay, ShortTraceRunsSerialThroughRunEntry)
-{
-    core::CoreParams params = core::publicInfoA53();
-    isa::Program prog = smallProgram("MC", 500);
-    vm::PackedTrace trace = packProgram(prog);
-    ReplayOptions chunked;
-    chunked.mode = ReplayMode::Chunked;
-    chunked.partitions = 8; // ignored: 500 insts < one minimum chunk
-    ASSERT_EQ(core::resolveReplayPlan(trace.instCount(), chunked)
-                  .partitions,
-              1u);
-    ReplayOptions serial;
-    serial.mode = ReplayMode::Serial;
-    for (ModelFamily family : allFamilies) {
-        expectBitIdentical(runPlanned(family, params, trace, serial),
-                           runPlanned(family, params, trace, chunked),
+                           core::makeTimingModel(family, params)->run(trace),
                            core::modelFamilyName(family));
     }
 }
@@ -279,7 +159,7 @@ namespace
  * Drive every stream type through runSegmentGeneric (every
  * instruction through the generic step body, no kind-tag dispatch)
  * and require exact agreement with the tagged fast path, including
- * across manual seam handoffs at awkward splits.
+ * across mid-run copies at awkward splits.
  */
 template <class Model>
 void
@@ -287,10 +167,8 @@ fastVsGenericCheck(const core::CoreParams &params,
                    const isa::Program &prog,
                    const vm::PackedTrace &trace, const std::string &what)
 {
-    ReplayOptions serial;
-    serial.mode = ReplayMode::Serial;
     Model fast(params);
-    core::CoreStats want = core::runPackedTrace(fast, trace, serial);
+    core::CoreStats want = core::runPackedTrace(fast, trace);
 
     {
         Model m(params);
@@ -310,47 +188,25 @@ fastVsGenericCheck(const core::CoreParams &params,
                            what + " generic/source");
     }
     {
-        // The lockstep follower view: record the whole trace into
-        // DecodedEvents, then replay it generically from the buffer.
-        std::vector<vm::DecodedEvent> events;
-        vm::PackedStream ps(trace);
-        vm::RecordingStream rec(ps, events);
-        while (rec.next()) {
-        }
-        Model m(params);
-        m.beginRun();
-        vm::DecodedBlockStream s(trace, events);
-        m.runSegmentGeneric(s, ~uint64_t{0});
-        expectBitIdentical(want, m.finishRun(),
-                           what + " generic/decoded-block");
-    }
-    {
-        // Generic segments with seam handoffs (copy mid-run) must
-        // agree with the fast chunked entry point.
-        ReplayOptions chunked;
-        chunked.mode = ReplayMode::Chunked;
-        chunked.partitions = 7;
-        chunked.minPartitionInsts = 1;
-        Model fast_model(params);
-        core::CoreStats fast_chunked =
-            core::runPackedTrace(fast_model, trace, chunked);
+        // Generic segments across mid-run copies must agree with the
+        // uninterrupted fast run.
         Model a(params);
         a.beginRun();
         vm::PackedStream s(trace);
         uint64_t split = trace.instCount() / 3 + 1;
         a.runSegmentGeneric(s, split);
-        Model b(a); // the seam handoff
+        Model b(a);
         b.runSegmentGeneric(s, split);
         Model c(b);
         c.runSegmentGeneric(s, ~uint64_t{0});
-        expectBitIdentical(fast_chunked, c.finishRun(),
-                           what + " generic seams vs fast chunked");
+        expectBitIdentical(want, c.finishRun(),
+                           what + " generic across copies");
     }
 }
 
 } // namespace
 
-// Every family x every stream type x seam handoffs: the minimal
+// Every family x every stream type x mid-run copies: the minimal
 // plain-ALU fast path and the kind-tag dispatch must be pure
 // optimizations, invisible in every counter. Workloads cover the
 // branchy, load-dominated and store-dominated dynamic mixes so every
@@ -446,7 +302,7 @@ TEST(TraceBankResidency, SpilledTraceReadmittedWhenBudgetAllows)
     size_t id = bank.add(prog);
 
     // First replay: recorded, but the 1-inst budget blocks admission.
-    EXPECT_EQ(bank.packed(id), nullptr);
+    EXPECT_EQ(bank.replay(id).packed, nullptr);
     engine::TraceBankStats stats = bank.stats();
     EXPECT_EQ(stats.spilledTraces, 1u);
     EXPECT_EQ(stats.residentTraces, 0u);
@@ -454,7 +310,7 @@ TEST(TraceBankResidency, SpilledTraceReadmittedWhenBudgetAllows)
 
     // Budget raised: the next replay re-admits the trace.
     bank.setResidencyBudget(0); // unlimited
-    std::shared_ptr<const vm::PackedTrace> packed = bank.packed(id);
+    std::shared_ptr<const vm::PackedTrace> packed = bank.replay(id).packed;
     ASSERT_NE(packed, nullptr);
     EXPECT_EQ(packed->instCount(), bank.instCount(id));
     stats = bank.stats();
@@ -474,7 +330,7 @@ TEST(TraceBankResidency, FirstAdmissionIsNotReadmission)
 {
     engine::TraceBank bank;
     size_t id = bank.add(smallProgram("CCh"));
-    EXPECT_NE(bank.packed(id), nullptr);
+    EXPECT_NE(bank.replay(id).packed, nullptr);
     engine::TraceBankStats stats = bank.stats();
     EXPECT_EQ(stats.residentTraces, 1u);
     EXPECT_EQ(stats.readmittedTraces, 0u);
