@@ -6,9 +6,9 @@
  *
  * Three pillars, all over the same packed traces:
  *
- *   - ns/inst of the library fast path (classify-once dispatch +
- *     modulo-free cursors) for every family x {ALU-heavy, memory,
- *     branchy} workload, interleaved min-of-N;
+ *   - ns/inst of the library step (modulo-free cursors; interval also
+ *     its classify-once ALU fast path) for every family x {ALU-heavy,
+ *     memory, branchy} workload, interleaved min-of-N;
  *   - an A-B against a bench-local frozen copy of the pre-flattening
  *     OoO step (per-instruction OpClass tests + `seq % ring.size()`
  *     indexing everywhere), the family with the most modulo sites.
@@ -16,11 +16,13 @@
  *     reference implementation the flattening replaced, kept here so
  *     the speedup never silently evaporates into "both sides got
  *     slower";
- *   - bit-identity: the fast path must produce exactly the baseline's
- *     CoreStats, and runSegmentGeneric (every instruction through the
- *     generic body) must match the tagged fast path for every family.
+ *   - bit-identity: the OoO step must produce exactly the baseline's
+ *     CoreStats, and interval's runSegmentGeneric (every instruction
+ *     through its generic body) must match its tagged fast path.
+ *     In-order and OoO have one step body each, so they report one
+ *     ns/inst column.
  *
- * Feeds the perf_step_guard ctest entry via --json: step_speedup
+ * Feeds the perf_guard_step_cost ctest entry via --json: step_speedup
  * (geomean of the OoO A-B across workload classes) and
  * step_bit_identical.
  */
@@ -29,6 +31,7 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bench/bench_common.hh"
@@ -359,7 +362,7 @@ timedNsPerInst(uint64_t insts, Fn &&pass)
 
 template <class Model>
 core::CoreStats
-runFast(Model &model, const vm::PackedTrace &trace)
+runStep(Model &model, const vm::PackedTrace &trace)
 {
     model.beginRun();
     vm::PackedStream stream(trace);
@@ -367,9 +370,8 @@ runFast(Model &model, const vm::PackedTrace &trace)
     return model.finishRun();
 }
 
-template <class Model>
 core::CoreStats
-runGeneric(Model &model, const vm::PackedTrace &trace)
+runGeneric(core::IntervalCore &model, const vm::PackedTrace &trace)
 {
     model.beginRun();
     vm::PackedStream stream(trace);
@@ -380,16 +382,17 @@ runGeneric(Model &model, const vm::PackedTrace &trace)
 /** Per-family, per-workload measurement row. */
 struct Row
 {
-    double fastNs = 0.0;
-    double genericNs = 0.0;
+    double ns = 0.0;
+    double genericNs = 0.0;  //!< interval only (0 elsewhere)
     double baselineNs = 0.0; //!< OoO only (0 elsewhere)
     bool identical = true;
 };
 
 /**
- * Measure one family over one trace: interleaved min-of-N fast vs
- * generic (and, through @p baseline, vs the frozen step), so scheduler
- * drift hits all sides of the A-B equally.
+ * Measure one family over one trace: interleaved min-of-N of the
+ * library step and, where they exist, interval's generic body and the
+ * frozen OoO step (@p baseline), so scheduler drift hits all sides of
+ * the A-B equally.
  */
 template <class Model>
 Row
@@ -397,19 +400,24 @@ measureFamily(const core::CoreParams &params,
               const vm::PackedTrace &trace, BaselineOooCore *baseline,
               int reps)
 {
+    constexpr bool has_generic =
+        std::is_same_v<Model, core::IntervalCore>;
     Model model(params);
     uint64_t insts = trace.instCount();
     Row row;
-    core::CoreStats fast_stats, generic_stats, baseline_stats;
+    core::CoreStats stats, generic_stats, baseline_stats;
     for (int rep = 0; rep < reps; ++rep) {
         double ns = timedNsPerInst(
-            insts, [&] { fast_stats = runFast(model, trace); });
-        if (rep == 0 || ns < row.fastNs)
-            row.fastNs = ns;
-        ns = timedNsPerInst(
-            insts, [&] { generic_stats = runGeneric(model, trace); });
-        if (rep == 0 || ns < row.genericNs)
-            row.genericNs = ns;
+            insts, [&] { stats = runStep(model, trace); });
+        if (rep == 0 || ns < row.ns)
+            row.ns = ns;
+        if constexpr (has_generic) {
+            ns = timedNsPerInst(insts, [&] {
+                generic_stats = runGeneric(model, trace);
+            });
+            if (rep == 0 || ns < row.genericNs)
+                row.genericNs = ns;
+        }
         if (baseline) {
             ns = timedNsPerInst(insts, [&] {
                 baseline_stats = baseline->run(trace);
@@ -418,8 +426,8 @@ measureFamily(const core::CoreParams &params,
                 row.baselineNs = ns;
         }
     }
-    row.identical = statsEqual(fast_stats, generic_stats)
-        && (!baseline || statsEqual(fast_stats, baseline_stats));
+    row.identical = (!has_generic || statsEqual(stats, generic_stats))
+        && (!baseline || statsEqual(stats, baseline_stats));
     return row;
 }
 
@@ -433,8 +441,8 @@ main(int argc, char **argv)
         argc, argv,
         "Step-cost microbench: ns/inst of the per-instruction hot "
         "path per timing-model family and workload class, with a "
-        "frozen pre-flattening OoO baseline A-B and fast-vs-generic "
-        "bit-identity checks.");
+        "frozen pre-flattening OoO baseline A-B and interval's "
+        "fast-vs-generic bit-identity check.");
     setQuiet(true);
     bench::header("Per-instruction step cost (ns/inst, min of N "
                   "interleaved passes)");
@@ -448,7 +456,7 @@ main(int argc, char **argv)
     core::CoreParams ooo_params = core::publicInfoA72();
 
     std::printf("%-8s %-10s %-26s %10s %10s %10s %8s\n", "family",
-                "workload", "ubench", "fast", "generic", "baseline",
+                "workload", "ubench", "ns/inst", "generic", "baseline",
                 "speedup");
 
     bool all_identical = true;
@@ -485,27 +493,33 @@ main(int argc, char **argv)
         };
 
         for (const FamilyRun &fr : runs) {
+            bool has_generic = fr.row.genericNs > 0.0;
             bool has_baseline = fr.row.baselineNs > 0.0;
-            double speedup = has_baseline && fr.row.fastNs > 0.0
-                ? fr.row.baselineNs / fr.row.fastNs : 0.0;
-            char baseline_col[32] = "-", speedup_col[32] = "-";
+            double speedup = has_baseline && fr.row.ns > 0.0
+                ? fr.row.baselineNs / fr.row.ns : 0.0;
+            char generic_col[32] = "-", baseline_col[32] = "-",
+                 speedup_col[32] = "-";
+            if (has_generic)
+                std::snprintf(generic_col, sizeof(generic_col), "%.2f",
+                              fr.row.genericNs);
             if (has_baseline) {
                 std::snprintf(baseline_col, sizeof(baseline_col),
                               "%.2f", fr.row.baselineNs);
                 std::snprintf(speedup_col, sizeof(speedup_col),
                               "%.2fx", speedup);
             }
-            std::printf("%-8s %-10s %-26s %9.2f %10.2f %10s %8s%s\n",
-                        fr.name, wc.key, wc.what, fr.row.fastNs,
-                        fr.row.genericNs, baseline_col, speedup_col,
+            std::printf("%-8s %-10s %-26s %9.2f %10s %10s %8s%s\n",
+                        fr.name, wc.key, wc.what, fr.row.ns,
+                        generic_col, baseline_col, speedup_col,
                         fr.row.identical ? "" : "  (DIVERGED)");
             all_identical = all_identical && fr.row.identical;
 
             std::string prefix =
                 std::string("step_") + fr.name + "_" + wc.key;
-            bench::jsonMetric(prefix + "_ns_per_inst", fr.row.fastNs);
-            bench::jsonMetric(prefix + "_generic_ns_per_inst",
-                              fr.row.genericNs);
+            bench::jsonMetric(prefix + "_ns_per_inst", fr.row.ns);
+            if (has_generic)
+                bench::jsonMetric(prefix + "_generic_ns_per_inst",
+                                  fr.row.genericNs);
             if (has_baseline) {
                 bench::jsonMetric(prefix + "_baseline_ns_per_inst",
                                   fr.row.baselineNs);

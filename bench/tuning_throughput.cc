@@ -215,9 +215,9 @@ sameRace(const tuner::RaceResult &a, const tuner::RaceResult &b)
 }
 
 /** Telemetry A-B: the same cold race with span recording paused vs
- *  live, interleaved min-of-N. Feeds the perf_obs_guard ctest entry:
- *  enabled-mode overhead must stay in the low single digits and the
- *  RaceResult must stay bit-identical with tracing on. */
+ *  live, interleaved min-of-N. Feeds the perf_guard_tuning_throughput
+ *  ctest entry: enabled-mode overhead must stay in the low single
+ *  digits and the RaceResult must stay bit-identical with tracing on. */
 void
 measureTelemetryOverhead()
 {

@@ -86,74 +86,16 @@ InOrderCore::beginRun()
 }
 
 /**
- * Plain-ALU fast path: the old switch default case only -- fetch,
- * readiness, FU reservation, writeback. No memory or predictor
- * machinery is reachable for kind == Alu.
+ * Load / store / branch work of one step, entered after the shared
+ * fetch / issue code has computed the FU completion time @p done.
+ *
+ * @return the instruction's completion time (writeback cycle).
  */
-template <bool Profiled, class Stream>
-void
-InOrderCore::stepAlu(const Stream &s)
+template <class Timer, class Stream>
+uint64_t
+InOrderCore::stepNonAlu(const Stream &s, OpKind kind, uint64_t done,
+                        Timer &timer)
 {
-    obs::StepTimer<Profiled> timer(obs::stepFamilyInOrder);
-
-    ++runStats.instructions;
-    timer.phase(obs::StepPhase::Fetch);
-    frontend.fetch(mem, cparams, s.pc(), st.cycle);
-
-    OpClass cls = s.cls();
-
-    // Operand readiness (in-order: also bounded by the front end).
-    timer.phase(obs::StepPhase::Issue);
-    uint64_t ready =
-        st.cycle > frontend.readyAt ? st.cycle : frontend.readyAt;
-    for (unsigned i = 0; i < s.srcCount(); ++i) {
-        uint64_t at = regReady[s.srcReg(i)];
-        if (at > ready)
-            ready = at;
-    }
-
-    // Structural hazard: wait for a unit of the right pool.
-    uint64_t start = contention.reserve(cls, ready);
-    stallUntil(start);
-
-    uint64_t done = st.cycle + contention.latencyOf(cls);
-
-    timer.phase(obs::StepPhase::Retire);
-    if (s.hasDst())
-        regReady[s.dstReg()] = done;
-    if (done > st.maxDone)
-        st.maxDone = done;
-    advanceSlot();
-}
-
-template <bool Profiled, class Stream>
-void
-InOrderCore::stepSlow(const Stream &s, OpKind kind)
-{
-    obs::StepTimer<Profiled> timer(obs::stepFamilyInOrder);
-
-    ++runStats.instructions;
-    timer.phase(obs::StepPhase::Fetch);
-    frontend.fetch(mem, cparams, s.pc(), st.cycle);
-
-    OpClass cls = s.cls();
-
-    // Operand readiness (in-order: also bounded by the front end).
-    timer.phase(obs::StepPhase::Issue);
-    uint64_t ready =
-        st.cycle > frontend.readyAt ? st.cycle : frontend.readyAt;
-    for (unsigned i = 0; i < s.srcCount(); ++i) {
-        uint64_t at = regReady[s.srcReg(i)];
-        if (at > ready)
-            ready = at;
-    }
-
-    // Structural hazard: wait for a unit of the right pool.
-    uint64_t start = contention.reserve(cls, ready);
-    stallUntil(start);
-
-    uint64_t done = st.cycle + contention.latencyOf(cls);
-
     switch (kind) {
       case OpKind::Load: {
         timer.phase(obs::StepPhase::Mem);
@@ -188,8 +130,7 @@ InOrderCore::stepSlow(const Stream &s, OpKind kind)
             if (slot != mshrFree.size())
                 mshrFree[slot] = access_at + res.latency;
         }
-        done = st.cycle + lat;
-        break;
+        return st.cycle + lat;
       }
 
       case OpKind::Store: {
@@ -216,24 +157,56 @@ InOrderCore::stepSlow(const Stream &s, OpKind kind)
             st.pendingStoreMaxDrain = drain_done;
         if (++st.pendingStoreHead == st.pendingStoreSize)
             st.pendingStoreHead = 0;
-        done = st.cycle + contention.latencyOf(cls);
-        break;
+        return st.cycle + contention.latencyOf(s.cls());
       }
 
       case OpKind::Branch: {
         timer.phase(obs::StepPhase::Branch);
         bool mispredict =
-            bp.predict(s.pc(), cls, s.taken(), s.nextPc());
+            bp.predict(s.pc(), s.cls(), s.taken(), s.nextPc());
         if (mispredict)
             frontend.redirect(done + st.mispredictPenalty);
         else if (s.taken() && st.takenBranchBubble)
             frontend.stallUntil(st.cycle + st.takenBranchBubble);
-        break;
+        return done;
       }
 
       default:
-        break;
+        return done;
     }
+}
+
+template <bool Profiled, class Stream>
+void
+InOrderCore::step(const Stream &s)
+{
+    obs::StepTimer<Profiled> timer(obs::stepFamilyInOrder);
+
+    ++runStats.instructions;
+    timer.phase(obs::StepPhase::Fetch);
+    frontend.fetch(mem, cparams, s.pc(), st.cycle);
+
+    OpClass cls = s.cls();
+
+    // Operand readiness (in-order: also bounded by the front end).
+    timer.phase(obs::StepPhase::Issue);
+    uint64_t ready =
+        st.cycle > frontend.readyAt ? st.cycle : frontend.readyAt;
+    for (unsigned i = 0; i < s.srcCount(); ++i) {
+        uint64_t at = regReady[s.srcReg(i)];
+        if (at > ready)
+            ready = at;
+    }
+
+    // Structural hazard: wait for a unit of the right pool.
+    uint64_t start = contention.reserve(cls, ready);
+    stallUntil(start);
+
+    uint64_t done = st.cycle + contention.latencyOf(cls);
+
+    OpKind kind = s.kind();
+    if (kind != OpKind::Alu) [[unlikely]]
+        done = stepNonAlu(s, kind, done, timer);
 
     timer.phase(obs::StepPhase::Retire);
     if (s.hasDst())
@@ -241,18 +214,6 @@ InOrderCore::stepSlow(const Stream &s, OpKind kind)
     if (done > st.maxDone)
         st.maxDone = done;
     advanceSlot();
-}
-
-template <bool Profiled, class Stream>
-void
-InOrderCore::step(const Stream &s)
-{
-    OpKind kind = s.kind();
-    if (kind == OpKind::Alu) [[likely]] {
-        stepAlu<Profiled>(s);
-        return;
-    }
-    stepSlow<Profiled>(s, kind);
 }
 
 template <bool Profiled, class Stream>
@@ -276,26 +237,10 @@ InOrderCore::runSegment(Stream &s, uint64_t max_insts)
     return runSegmentImpl<false>(s, max_insts);
 }
 
-template <class Stream>
-uint64_t
-InOrderCore::runSegmentGeneric(Stream &s, uint64_t max_insts)
-{
-    uint64_t consumed = 0;
-    while (consumed < max_insts && s.next()) {
-        ++consumed;
-        stepSlow<false>(s, s.kind());
-    }
-    return consumed;
-}
-
 template uint64_t
 InOrderCore::runSegment<vm::PackedStream>(vm::PackedStream &, uint64_t);
 template uint64_t
 InOrderCore::runSegment<vm::SourceStream>(vm::SourceStream &, uint64_t);
-template uint64_t InOrderCore::runSegmentGeneric<vm::PackedStream>(
-    vm::PackedStream &, uint64_t);
-template uint64_t InOrderCore::runSegmentGeneric<vm::SourceStream>(
-    vm::SourceStream &, uint64_t);
 
 CoreStats
 InOrderCore::finishRun()

@@ -67,16 +67,6 @@ class InOrderCore : public TimingModel
     template <class Stream>
     uint64_t runSegment(Stream &stream, uint64_t max_insts);
 
-    /**
-     * Test seam: identical contract to runSegment, but routes every
-     * instruction -- including plain ALU -- through the generic step
-     * body, so bit-identity of the tagged fast path is directly
-     * checkable against the un-specialized accounting (instantiated
-     * for vm::PackedStream and vm::SourceStream).
-     */
-    template <class Stream>
-    uint64_t runSegmentGeneric(Stream &stream, uint64_t max_insts);
-
     /** Close accounting (drains, end cycle) and return the stats. */
     CoreStats finishRun();
     /// @}
@@ -142,22 +132,20 @@ class InOrderCore : public TimingModel
     void advanceSlot();
 
     /**
-     * Per-instruction accounting behind runSegment: classify once on the
-     * precomputed 2-bit kind tag, then either take the minimal
-     * plain-ALU fast path (never touches MSHR / store-buffer /
-     * pending-store / predictor machinery) or the generic body.
+     * Per-instruction accounting behind runSegment: fetch, issue and
+     * retire are shared by every kind; load / store / branch work
+     * runs in stepNonAlu, which plain ALU ops (the precomputed 2-bit
+     * kind tag) never enter.
      * @tparam Profiled selects the step-cost-profiler instantiation.
      */
     template <bool Profiled, class Stream>
     void step(const Stream &s);
 
-    /** Dominant-case fast path: kind == OpKind::Alu only. */
-    template <bool Profiled, class Stream>
-    void stepAlu(const Stream &s);
-
-    /** Generic body handling every kind. */
-    template <bool Profiled, class Stream>
-    void stepSlow(const Stream &s, isa::OpKind kind);
+    /** Memory / branch arm of step(); @return the completion time
+     *  that replaces the FU-only @p done. */
+    template <class Timer, class Stream>
+    uint64_t stepNonAlu(const Stream &s, isa::OpKind kind,
+                        uint64_t done, Timer &timer);
 
     template <bool Profiled, class Stream>
     uint64_t runSegmentImpl(Stream &stream, uint64_t max_insts);

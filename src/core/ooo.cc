@@ -79,80 +79,9 @@ OooCore::beginRun()
     runStats = CoreStats{};
 }
 
-/**
- * Plain-ALU fast path: no memory machinery, no predictor, no LQ/SQ
- * cursors -- just fetch, ROB/IQ gating, operand readiness, FU
- * reservation and the retire ring. Accounting is field-for-field the
- * ALU slice of stepSlow (the bit-identity tests compare the two).
- */
 template <bool Profiled, class Stream>
 void
-OooCore::stepAlu(const Stream &s)
-{
-    obs::StepTimer<Profiled> timer(obs::stepFamilyOoo);
-
-    ++runStats.instructions;
-    timer.phase(obs::StepPhase::Fetch);
-    frontend.fetch(mem, cparams, s.pc(), st.dispatchCycle);
-
-    // --- dispatch: in-order, gated by window resources -----------------
-    timer.phase(obs::StepPhase::Dispatch);
-    uint64_t dready = st.dispatchCycle > frontend.readyAt
-        ? st.dispatchCycle : frontend.readyAt;
-    uint64_t rob_free = robFreeAt[st.robCur];
-    if (rob_free > dready)
-        dready = rob_free;
-    uint64_t iq_free = iqFreeAt[st.iqCur];
-    if (iq_free > dready)
-        dready = iq_free;
-    if (dready > st.dispatchCycle) {
-        st.dispatchCycle = dready;
-        st.dispatchedThisCycle = 0;
-    }
-
-    // --- issue: out-of-order on operand readiness + FU -----------------
-    timer.phase(obs::StepPhase::Issue);
-    OpClass cls = s.cls();
-    uint64_t ready = st.dispatchCycle;
-    for (unsigned i = 0; i < s.srcCount(); ++i) {
-        uint64_t at = regReady[s.srcReg(i)];
-        if (at > ready)
-            ready = at;
-    }
-    uint64_t start = contention.reserve(cls, ready);
-    uint64_t complete = start + contention.latencyOf(cls);
-
-    // --- retire: in-order, commitWidth per cycle ------------------------
-    timer.phase(obs::StepPhase::Retire);
-    uint64_t retire = complete;
-    uint64_t window = retireRing[st.retireCur] + 1;
-    if (window > retire)
-        retire = window;
-    if (st.lastRetire > retire)
-        retire = st.lastRetire;
-    retireRing[st.retireCur] = retire;
-    if (++st.retireCur == st.retireSize)
-        st.retireCur = 0;
-    st.lastRetire = retire;
-
-    if (s.hasDst())
-        regReady[s.dstReg()] = complete;
-    robFreeAt[st.robCur] = retire;
-    if (++st.robCur == st.robSize)
-        st.robCur = 0;
-    iqFreeAt[st.iqCur] = start;
-    if (++st.iqCur == st.iqSize)
-        st.iqCur = 0;
-
-    if (++st.dispatchedThisCycle >= st.dispatchWidth) {
-        ++st.dispatchCycle;
-        st.dispatchedThisCycle = 0;
-    }
-}
-
-template <bool Profiled, class Stream>
-void
-OooCore::stepSlow(const Stream &s, OpKind kind)
+OooCore::step(const Stream &s)
 {
     obs::StepTimer<Profiled> timer(obs::stepFamilyOoo);
 
@@ -161,6 +90,7 @@ OooCore::stepSlow(const Stream &s, OpKind kind)
     frontend.fetch(mem, cparams, s.pc(), st.dispatchCycle);
 
     OpClass cls = s.cls();
+    OpKind kind = s.kind();
     bool is_load = kind == OpKind::Load;
     bool is_store = kind == OpKind::Store;
 
@@ -302,18 +232,6 @@ OooCore::stepSlow(const Stream &s, OpKind kind)
 }
 
 template <bool Profiled, class Stream>
-void
-OooCore::step(const Stream &s)
-{
-    OpKind kind = s.kind();
-    if (kind == OpKind::Alu) [[likely]] {
-        stepAlu<Profiled>(s);
-        return;
-    }
-    stepSlow<Profiled>(s, kind);
-}
-
-template <bool Profiled, class Stream>
 uint64_t
 OooCore::runSegmentImpl(Stream &s, uint64_t max_insts)
 {
@@ -334,26 +252,10 @@ OooCore::runSegment(Stream &s, uint64_t max_insts)
     return runSegmentImpl<false>(s, max_insts);
 }
 
-template <class Stream>
-uint64_t
-OooCore::runSegmentGeneric(Stream &s, uint64_t max_insts)
-{
-    uint64_t consumed = 0;
-    while (consumed < max_insts && s.next()) {
-        ++consumed;
-        stepSlow<false>(s, s.kind());
-    }
-    return consumed;
-}
-
 template uint64_t
 OooCore::runSegment<vm::PackedStream>(vm::PackedStream &, uint64_t);
 template uint64_t
 OooCore::runSegment<vm::SourceStream>(vm::SourceStream &, uint64_t);
-template uint64_t OooCore::runSegmentGeneric<vm::PackedStream>(
-    vm::PackedStream &, uint64_t);
-template uint64_t OooCore::runSegmentGeneric<vm::SourceStream>(
-    vm::SourceStream &, uint64_t);
 
 CoreStats
 OooCore::finishRun()

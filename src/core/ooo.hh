@@ -64,16 +64,6 @@ class OooCore : public TimingModel
     template <class Stream>
     uint64_t runSegment(Stream &stream, uint64_t max_insts);
 
-    /**
-     * Test seam: identical contract to runSegment, but routes every
-     * instruction -- including plain ALU -- through the generic step
-     * body, so bit-identity of the tagged fast path is directly
-     * checkable against the un-specialized accounting (instantiated
-     * for vm::PackedStream and vm::SourceStream).
-     */
-    template <class Stream>
-    uint64_t runSegmentGeneric(Stream &stream, uint64_t max_insts);
-
     /** Close accounting (drains, end cycle) and return the stats. */
     CoreStats finishRun();
     /// @}
@@ -158,24 +148,14 @@ class OooCore : public TimingModel
     void resetState();
 
     /**
-     * Per-instruction accounting behind runSegment: classify once on the
-     * precomputed 2-bit kind tag, then either take the minimal
-     * plain-ALU fast path (never touches LSQ / MSHR / pending-store /
-     * predictor machinery) or the generic body. @tparam Profiled
-     * selects the step-cost-profiler instantiation (obs/
-     * step_profiler.hh); the segment loop picks it once per segment.
+     * Per-instruction accounting behind runSegment, one body for every
+     * kind: the precomputed 2-bit kind tag gates the LQ / SQ, memory
+     * and predictor work. @tparam Profiled selects the
+     * step-cost-profiler instantiation (obs/step_profiler.hh); the
+     * segment loop picks it once per segment.
      */
     template <bool Profiled, class Stream>
     void step(const Stream &s);
-
-    /** Dominant-case fast path: kind == OpKind::Alu only. */
-    template <bool Profiled, class Stream>
-    void stepAlu(const Stream &s);
-
-    /** Generic body handling every kind (the pre-flattening
-     *  accounting, cursor-indexed). */
-    template <bool Profiled, class Stream>
-    void stepSlow(const Stream &s, isa::OpKind kind);
 
     template <bool Profiled, class Stream>
     uint64_t runSegmentImpl(Stream &stream, uint64_t max_insts);

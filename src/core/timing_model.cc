@@ -20,15 +20,6 @@ makeModel(const CoreParams &params)
 
 } // namespace
 
-CoreStats
-TimingModel::run(const vm::PackedTrace &trace)
-{
-    // Generic fallback for out-of-tree models: replay through the
-    // TraceSource interface.
-    vm::PackedCursor cursor(trace);
-    return run(cursor);
-}
-
 TimingModelRegistry::TimingModelRegistry()
 {
     // The salts are persisted-cache ABI: EvalCache files key entries

@@ -56,11 +56,8 @@ class TimingModel
     /**
      * Replay a packed trace from a clean machine state. Bit-identical
      * to run(TraceSource&) over the same recording.
-     *
-     * The default implementation replays through a PackedCursor; the
-     * built-in families override it with their packed segment loop.
      */
-    virtual CoreStats run(const vm::PackedTrace &trace);
+    virtual CoreStats run(const vm::PackedTrace &trace) = 0;
 
     /** @return the active configuration. */
     virtual const CoreParams &params() const = 0;

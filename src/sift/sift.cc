@@ -144,7 +144,7 @@ SiftTrace::SiftTrace(std::vector<uint8_t> buffer,
     size_t pos = sizeof(magic);
 
     uint64_t name_len = getVarint(bytes, pos);
-    RV_ASSERT(pos + name_len <= bytes.size(), "sift: truncated name");
+    RV_ASSERT(name_len <= bytes.size() - pos, "sift: truncated name");
     progName.assign(reinterpret_cast<const char *>(bytes.data() + pos),
                     name_len);
     pos += name_len;
@@ -152,7 +152,8 @@ SiftTrace::SiftTrace(std::vector<uint8_t> buffer,
 
     prog.codeBase = getVarint(bytes, pos);
     uint64_t code_words = getVarint(bytes, pos);
-    RV_ASSERT(pos + 4 * code_words <= bytes.size(), "sift: truncated code");
+    RV_ASSERT(code_words <= (bytes.size() - pos) / 4,
+              "sift: truncated code");
     prog.code.resize(code_words);
     for (uint64_t i = 0; i < code_words; ++i) {
         uint32_t word = 0;
@@ -165,7 +166,7 @@ SiftTrace::SiftTrace(std::vector<uint8_t> buffer,
     for (uint64_t s = 0; s < segments; ++s) {
         uint64_t base = getVarint(bytes, pos);
         uint64_t len = getVarint(bytes, pos);
-        RV_ASSERT(pos + len <= bytes.size(), "sift: truncated data seg");
+        RV_ASSERT(len <= bytes.size() - pos, "sift: truncated data seg");
         prog.addData(base, std::vector<uint8_t>(
             bytes.begin() + static_cast<long>(pos),
             bytes.begin() + static_cast<long>(pos + len)));

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
+#include <initializer_list>
 #include <map>
+#include <vector>
 
 #include "cache/cache.hh"
 #include "isa/assembler.hh"
@@ -127,6 +130,54 @@ TEST(Sift, RejectsGarbageMagic)
     std::vector<uint8_t> junk(64, 0x5a);
     EXPECT_DEATH(
         { sift::SiftReader reader(std::move(junk)); }, "bad magic");
+}
+
+namespace
+{
+
+/** Sift bytes: magic, then @p fields as LEB128 varints, then 16
+ *  zero bytes of payload. */
+std::vector<uint8_t>
+siftHeader(std::initializer_list<uint64_t> fields)
+{
+    std::vector<uint8_t> out = {'R', 'V', 'S', 'I', 'F', 'T', '0', '1'};
+    for (uint64_t value : fields) {
+        while (value >= 0x80) {
+            out.push_back(static_cast<uint8_t>(value) | 0x80);
+            value >>= 7;
+        }
+        out.push_back(static_cast<uint8_t>(value));
+    }
+    out.resize(out.size() + 16, 0);
+    return out;
+}
+
+} // namespace
+
+// Length fields near 2^64 must not wrap the bounds checks: each
+// oversized field is rejected as truncated, not handed to an
+// allocation that throws.
+TEST(Sift, RejectsOversizedNameLength)
+{
+    std::vector<uint8_t> bytes = siftHeader({~uint64_t{0} - 3});
+    EXPECT_DEATH({ sift::SiftReader reader(std::move(bytes)); },
+                 "truncated name");
+}
+
+TEST(Sift, RejectsOversizedCodeWordCount)
+{
+    // name "", codeBase 0, code_words 2^62 (4 * 2^62 wraps to 0).
+    std::vector<uint8_t> bytes = siftHeader({0, 0, uint64_t{1} << 62});
+    EXPECT_DEATH({ sift::SiftReader reader(std::move(bytes)); },
+                 "truncated code");
+}
+
+TEST(Sift, RejectsOversizedDataSegmentLength)
+{
+    // name "", codeBase 0, no code, one segment at 0 of length 2^64-1.
+    std::vector<uint8_t> bytes = siftHeader({0, 0, 0, 1, 0, ~uint64_t{0}});
+    EXPECT_DEATH({ sift::SiftReader reader(std::move(bytes)); },
+                 "truncated data seg");
 }
 
 TEST(Sift, TolerantOfEmptyPrograms)

@@ -156,22 +156,22 @@ namespace
 {
 
 /**
- * Drive every stream type through runSegmentGeneric (every
- * instruction through the generic step body, no kind-tag dispatch)
- * and require exact agreement with the tagged fast path, including
- * across mid-run copies at awkward splits.
+ * Drive every stream type through IntervalCore::runSegmentGeneric
+ * (every instruction through the generic step body, no kind-tag
+ * dispatch) and require exact agreement with the tagged fast path,
+ * including across mid-run copies at awkward splits.
  */
-template <class Model>
 void
-fastVsGenericCheck(const core::CoreParams &params,
-                   const isa::Program &prog,
-                   const vm::PackedTrace &trace, const std::string &what)
+intervalFastVsGenericCheck(const core::CoreParams &params,
+                           const isa::Program &prog,
+                           const vm::PackedTrace &trace,
+                           const std::string &what)
 {
-    Model fast(params);
+    core::IntervalCore fast(params);
     core::CoreStats want = core::runPackedTrace(fast, trace);
 
     {
-        Model m(params);
+        core::IntervalCore m(params);
         m.beginRun();
         vm::PackedStream s(trace);
         m.runSegmentGeneric(s, ~uint64_t{0});
@@ -179,7 +179,7 @@ fastVsGenericCheck(const core::CoreParams &params,
                            what + " generic/packed");
     }
     {
-        Model m(params);
+        core::IntervalCore m(params);
         m.beginRun();
         vm::FunctionalCore live(prog);
         vm::SourceStream s(live);
@@ -190,14 +190,14 @@ fastVsGenericCheck(const core::CoreParams &params,
     {
         // Generic segments across mid-run copies must agree with the
         // uninterrupted fast run.
-        Model a(params);
+        core::IntervalCore a(params);
         a.beginRun();
         vm::PackedStream s(trace);
         uint64_t split = trace.instCount() / 3 + 1;
         a.runSegmentGeneric(s, split);
-        Model b(a);
+        core::IntervalCore b(a);
         b.runSegmentGeneric(s, split);
-        Model c(b);
+        core::IntervalCore c(b);
         c.runSegmentGeneric(s, ~uint64_t{0});
         expectBitIdentical(want, c.finishRun(),
                            what + " generic across copies");
@@ -206,12 +206,14 @@ fastVsGenericCheck(const core::CoreParams &params,
 
 } // namespace
 
-// Every family x every stream type x mid-run copies: the minimal
-// plain-ALU fast path and the kind-tag dispatch must be pure
-// optimizations, invisible in every counter. Workloads cover the
-// branchy, load-dominated and store-dominated dynamic mixes so every
-// stepSlow arm is exercised.
-TEST(StepDispatch, FastVsGenericAllStreamsAllFamilies)
+// Interval is the one family that keeps a separate plain-ALU fast
+// path: it and the kind-tag dispatch must be pure optimizations,
+// invisible in every counter, for every stream type and across
+// mid-run copies. Workloads cover the branchy, load-dominated and
+// store-dominated dynamic mixes so every stepSlow arm is exercised.
+// (In-order and OoO have one step body each; PackedReplay.* covers
+// their packed-vs-source and mid-run-copy identity.)
+TEST(StepDispatch, IntervalFastVsGenericAllStreams)
 {
     core::CoreParams params = core::publicInfoA53();
     const char *benches[] = {"CCh", "MC", "STc"};
@@ -220,14 +222,7 @@ TEST(StepDispatch, FastVsGenericAllStreamsAllFamilies)
         if (!info)
             continue; // suite membership varies; cover what exists
         isa::Program prog = info->builder(9973, true);
-        vm::PackedTrace trace = packProgram(prog);
-        std::string tag(name);
-        fastVsGenericCheck<core::InOrderCore>(params, prog, trace,
-                                              tag + "/inorder");
-        fastVsGenericCheck<core::OooCore>(params, prog, trace,
-                                          tag + "/ooo");
-        fastVsGenericCheck<core::IntervalCore>(params, prog, trace,
-                                               tag + "/interval");
+        intervalFastVsGenericCheck(params, prog, packProgram(prog), name);
     }
 }
 
