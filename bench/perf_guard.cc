@@ -13,8 +13,11 @@
  * pre-flattening step (room for memory-bound classes, where the shared
  * cache model bounds the win, and for contended runners).
  *
- * Run as a plain binary: `perf_guard <blob.json>...`. Every blob must
- * have at least one rule; the guard fails when any rule does.
+ * Run as a plain binary: `perf_guard [--guard <name>] <blob.json>...`.
+ * Each rule belongs to one named guard (replay, obs, step); --guard
+ * checks only that guard's rules, so each guard is its own ctest entry
+ * (perf_<name>_guard). Every blob must have at least one selected
+ * rule; the guard fails when any rule does.
  */
 
 #include <cstdio>
@@ -35,6 +38,7 @@ enum class Cmp
 
 struct Rule
 {
+    const char *guard;  //!< guard the rule belongs to (--guard)
     const char *blob;   //!< file name of the blob the rule applies to
     const char *metric; //!< flat `"metric": <number>` key
     Cmp cmp;
@@ -46,18 +50,20 @@ struct Rule
 constexpr double maxTelemetryOverheadPct = 10.0;
 
 const Rule rules[] = {
-    {"BENCH_tuning_throughput.json", "bit_identical", Cmp::Eq, 1.0,
-     "the engine paths diverged from the pre-engine race"},
-    {"BENCH_tuning_throughput.json", "cold_speedup", Cmp::Ge, 1.0,
-     "the packed cold path is slower than functional re-execution"},
-    {"BENCH_tuning_throughput.json", "telemetry_bit_identical", Cmp::Eq,
-     1.0, "racing with tracing on diverged from racing with it off"},
-    {"BENCH_tuning_throughput.json", "telemetry_overhead_pct", Cmp::Le,
-     maxTelemetryOverheadPct, "span recording slowed the cold race"},
-    {"BENCH_step_cost.json", "step_bit_identical", Cmp::Eq, 1.0,
+    {"replay", "BENCH_tuning_throughput.json", "bit_identical", Cmp::Eq,
+     1.0, "the engine paths diverged from the pre-engine race"},
+    {"replay", "BENCH_tuning_throughput.json", "cold_speedup", Cmp::Ge,
+     1.0, "the packed cold path is slower than functional re-execution"},
+    {"obs", "BENCH_tuning_throughput.json", "telemetry_bit_identical",
+     Cmp::Eq, 1.0,
+     "racing with tracing on diverged from racing with it off"},
+    {"obs", "BENCH_tuning_throughput.json", "telemetry_overhead_pct",
+     Cmp::Le, maxTelemetryOverheadPct,
+     "span recording slowed the cold race"},
+    {"step", "BENCH_step_cost.json", "step_bit_identical", Cmp::Eq, 1.0,
      "the OoO step diverged from the frozen baseline, or interval's "
      "fast path from its generic body"},
-    {"BENCH_step_cost.json", "step_speedup", Cmp::Ge, 1.1,
+    {"step", "BENCH_step_cost.json", "step_speedup", Cmp::Ge, 1.1,
      "the flattened OoO step lost its margin over the pre-flattening "
      "baseline"},
 };
@@ -100,17 +106,21 @@ findNumber(const std::string &text, const std::string &key, double &out)
 int
 usage(const char *argv0)
 {
-    std::fprintf(stderr, "usage: %s <blob.json>...\nrules:\n", argv0);
+    std::fprintf(stderr,
+                 "usage: %s [--guard <name>] <blob.json>...\nrules:\n",
+                 argv0);
     for (const Rule &rule : rules)
-        std::fprintf(stderr, "  %s: %s %s %g\n", rule.blob, rule.metric,
-                     cmpText(rule.cmp), rule.threshold);
+        std::fprintf(stderr, "  %-6s %s: %s %s %g\n", rule.guard,
+                     rule.blob, rule.metric, cmpText(rule.cmp),
+                     rule.threshold);
     return 2;
 }
 
-/** Check every rule of one blob. @return failures, or -1 when the blob
- *  is unreadable, has no rules or lacks a metric. */
+/** Check the rules of one blob, only those of @p guard unless it is
+ *  empty. @return failures, or -1 when the blob is unreadable, has no
+ *  selected rules or lacks a metric. */
 int
-checkBlob(const std::string &path)
+checkBlob(const std::string &path, const std::string &guard)
 {
     size_t slash = path.find_last_of('/');
     std::string name =
@@ -129,7 +139,7 @@ checkBlob(const std::string &path)
 
     int checked = 0, failures = 0;
     for (const Rule &rule : rules) {
-        if (name != rule.blob)
+        if (name != rule.blob || (!guard.empty() && guard != rule.guard))
             continue;
         ++checked;
         double value = 0.0;
@@ -150,7 +160,8 @@ checkBlob(const std::string &path)
         ++failures;
     }
     if (checked == 0) {
-        std::fprintf(stderr, "perf_guard: no rules for '%s'\n",
+        std::fprintf(stderr, "perf_guard: no %s%srules for '%s'\n",
+                     guard.c_str(), guard.empty() ? "" : " ",
                      name.c_str());
         return -1;
     }
@@ -166,12 +177,20 @@ main(int argc, char **argv)
         usage(argv[0]);
         return 0;
     }
-    if (argc < 2)
+    int first = 1;
+    std::string guard;
+    if (argc > 1 && std::strcmp(argv[1], "--guard") == 0) {
+        if (argc < 3)
+            return usage(argv[0]);
+        guard = argv[2];
+        first = 3;
+    }
+    if (first >= argc)
         return usage(argv[0]);
 
     int failures = 0;
-    for (int i = 1; i < argc; ++i) {
-        int result = checkBlob(argv[i]);
+    for (int i = first; i < argc; ++i) {
+        int result = checkBlob(argv[i], guard);
         if (result < 0)
             return 2;
         failures += result;

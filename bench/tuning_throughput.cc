@@ -16,7 +16,9 @@
  *                whole race.
  *
  * The three paths produce bit-identical RaceResults (checked); the
- * speedup is pure evaluation-engine machinery.
+ * speedup is pure evaluation-engine machinery. Two in-process A-Bs
+ * follow: pre-engine vs cold on one thread (cold_speedup) and the cold
+ * race with tracing off vs on (telemetry overhead).
  */
 
 #include <benchmark/benchmark.h>
@@ -94,11 +96,14 @@ uint64_t requestsPerRace = 0;
 std::unique_ptr<engine::EvalEngine> sharedEngine;
 engine::EngineStats finalEngineStats;
 
+/** An engine over the task's programs; @p threads 0 = hardware. */
 std::unique_ptr<engine::EvalEngine>
-makeEngine()
+makeEngine(unsigned threads = 0)
 {
     Task &t = task();
-    auto eng = std::make_unique<engine::EvalEngine>(false);
+    engine::EngineOptions options;
+    options.threads = threads;
+    auto eng = std::make_unique<engine::EvalEngine>(false, options);
     for (const isa::Program &prog : t.programs)
         eng->addInstance(prog);
     eng->setModelFn([&t](const tuner::Configuration &config) {
@@ -126,8 +131,12 @@ timedRace(Fn &&make_racer)
     return out;
 }
 
-void
-BM_PreEngineRacing(benchmark::State &state)
+/** One pre-engine race: live functional execution per fresh pair,
+ *  memoized and parallelized over @p threads (0 = hardware) by a
+ *  SimpleCostEvaluator (exactly what the racer's CostFn convenience
+ *  path wraps). */
+PathResult
+racePreEngine(unsigned threads = 0)
 {
     Task &t = task();
     tuner::CostFn live = [&t](const tuner::Configuration &config,
@@ -137,19 +146,35 @@ BM_PreEngineRacing(benchmark::State &state)
         core::InOrderCore sim(model);
         return t.cpiError(sim.run(source), t.programs[instance]);
     };
-    // The pre-engine evaluation path: live functional execution per
-    // fresh pair, memoized and parallelized by a SimpleCostEvaluator
-    // (exactly what the racer's CostFn convenience path wraps).
-    tuner::SimpleCostEvaluator live_eval(live, t.ropts.threads);
-    for (auto _ : state) {
-        preEngine = timedRace([&] {
-            auto strategy = tuner::makeSearchStrategy(
-                bench::strategyName(), t.sspace.space(), live_eval,
-                t.programs.size(), t.ropts);
-            strategy->addInitialCandidate(t.sspace.encode(t.base));
-            return strategy->run();
-        });
-    }
+    tuner::SimpleCostEvaluator live_eval(live, threads);
+    return timedRace([&] {
+        auto strategy = tuner::makeSearchStrategy(
+            bench::strategyName(), t.sspace.space(), live_eval,
+            t.programs.size(), t.ropts);
+        strategy->addInitialCandidate(t.sspace.encode(t.base));
+        return strategy->run();
+    });
+}
+
+/** One race on @p eng: cold or warm, depending on its cache. */
+PathResult
+raceEngine(engine::EvalEngine &eng)
+{
+    Task &t = task();
+    return timedRace([&] {
+        auto strategy = tuner::makeSearchStrategy(
+            bench::strategyName(), t.sspace.space(), eng,
+            t.programs.size(), t.ropts);
+        strategy->addInitialCandidate(t.sspace.encode(t.base));
+        return strategy->run();
+    });
+}
+
+void
+BM_PreEngineRacing(benchmark::State &state)
+{
+    for (auto _ : state)
+        preEngine = racePreEngine();
     state.counters["experiments"] =
         static_cast<double>(preEngine.experiments);
     state.counters["s"] = preEngine.seconds;
@@ -158,16 +183,9 @@ BM_PreEngineRacing(benchmark::State &state)
 void
 BM_EngineRacingCold(benchmark::State &state)
 {
-    Task &t = task();
     for (auto _ : state) {
         sharedEngine = makeEngine();
-        engineCold = timedRace([&] {
-            auto strategy = tuner::makeSearchStrategy(
-                bench::strategyName(), t.sspace.space(), *sharedEngine,
-                t.programs.size(), t.ropts);
-            strategy->addInitialCandidate(t.sspace.encode(t.base));
-            return strategy->run();
-        });
+        engineCold = raceEngine(*sharedEngine);
         requestsPerRace = sharedEngine->stats().requests;
     }
     state.counters["experiments"] =
@@ -178,18 +196,10 @@ BM_EngineRacingCold(benchmark::State &state)
 void
 BM_EngineRacingWarm(benchmark::State &state)
 {
-    Task &t = task();
     if (!sharedEngine)
         sharedEngine = makeEngine(); // filtered run: warm == cold
-    for (auto _ : state) {
-        engineWarm = timedRace([&] {
-            auto strategy = tuner::makeSearchStrategy(
-                bench::strategyName(), t.sspace.space(), *sharedEngine,
-                t.programs.size(), t.ropts);
-            strategy->addInitialCandidate(t.sspace.encode(t.base));
-            return strategy->run();
-        });
-    }
+    for (auto _ : state)
+        engineWarm = raceEngine(*sharedEngine);
     finalEngineStats = sharedEngine->stats();
     state.counters["s"] = engineWarm.seconds;
 }
@@ -214,17 +224,49 @@ sameRace(const tuner::RaceResult &a, const tuner::RaceResult &b)
         && a.iterations == b.iterations;
 }
 
+/** Cold-path A-B behind cold_speedup, which perf_replay_guard requires
+ *  to stay >= 1: the pre-engine and cold races again on one worker
+ *  thread, interleaved, keeping each side's fastest of coldAbRounds.
+ *  One thread because the guard checks per-evaluation cost (record
+ *  once, replay packed vs functional re-execution). In the parallel
+ *  races above, wall time is each racing step's slowest evaluation,
+ *  and nearly every smoke step waits on one new instance's recording,
+ *  so their ratio sits within a shared host's noise of 1. */
+constexpr int coldAbRounds = 3;
+PathResult coldAbPreEngine, coldAbCold;
+bool coldAbIdentical = true;
+
+void
+measureColdSpeedup()
+{
+    if (!preEngine.race || !engineCold.race)
+        return; // filtered run
+
+    for (int round = 0; round < coldAbRounds; ++round) {
+        PathResult r = racePreEngine(1);
+        coldAbIdentical =
+            coldAbIdentical && sameRace(*r.race, *preEngine.race);
+        if (round == 0 || r.seconds < coldAbPreEngine.seconds)
+            coldAbPreEngine = std::move(r);
+        auto eng = makeEngine(1);
+        r = raceEngine(*eng);
+        coldAbIdentical =
+            coldAbIdentical && sameRace(*r.race, *engineCold.race);
+        if (round == 0 || r.seconds < coldAbCold.seconds)
+            coldAbCold = std::move(r);
+    }
+}
+
 /** Telemetry A-B: the same cold race with span recording paused vs
- *  live, interleaved min-of-N. Feeds the perf_guard_tuning_throughput
- *  ctest entry: enabled-mode overhead must stay in the low single
- *  digits and the RaceResult must stay bit-identical with tracing on. */
+ *  live, interleaved min-of-N. Feeds the perf_obs_guard ctest entry:
+ *  enabled-mode overhead must stay in the low single digits and the
+ *  RaceResult must stay bit-identical with tracing on. */
 void
 measureTelemetryOverhead()
 {
     if (!engineCold.race)
         return; // filtered run
 
-    Task &t = task();
     // The A-B needs a live trace session so the "on" side actually
     // records spans; open a throwaway one when --trace was not given.
     const char *temp_trace = "tuning_throughput.tmp-trace.json";
@@ -232,15 +274,9 @@ measureTelemetryOverhead()
     if (own_session)
         obs::startTracing(temp_trace);
 
-    auto race_once = [&] {
+    auto race_once = [] {
         auto eng = makeEngine();
-        return timedRace([&] {
-            auto strategy = tuner::makeSearchStrategy(
-                bench::strategyName(), t.sspace.space(), *eng,
-                t.programs.size(), t.ropts);
-            strategy->addInitialCandidate(t.sspace.encode(t.base));
-            return strategy->run();
-        });
+        return raceEngine(*eng);
     };
 
     // Interleave the sides so drift (frequency scaling, competing
@@ -283,8 +319,11 @@ report()
     if (!preEngine.race || !engineCold.race || !engineWarm.race)
         return; // filtered run; gbench output already printed
 
-    bool identical = sameRace(*preEngine.race, *engineCold.race)
+    bool identical = coldAbIdentical
+        && sameRace(*preEngine.race, *engineCold.race)
         && sameRace(*engineCold.race, *engineWarm.race);
+    double cold_speedup = coldAbCold.seconds > 0.0
+        ? coldAbPreEngine.seconds / coldAbCold.seconds : 0.0;
 
     std::printf("\n=== racing throughput: %llu-experiment A53 task, "
                 "%llu evaluation requests per race ===\n",
@@ -300,6 +339,10 @@ report()
     std::printf("%-14s %10.2f %16.0f %9.2fx\n", "engine/warm",
                 engineWarm.seconds, rate(engineWarm),
                 preEngine.seconds / engineWarm.seconds);
+    std::printf("cold A-B (1 thread, min of %d interleaved): "
+                "pre-engine %.2f s, engine/cold %.2f s, %.2fx\n",
+                coldAbRounds, coldAbPreEngine.seconds,
+                coldAbCold.seconds, cold_speedup);
     std::printf("RaceResults bit-identical across paths: %s\n",
                 identical ? "yes" : "NO (BUG)");
     bench::printEngineStats(finalEngineStats);
@@ -315,8 +358,10 @@ report()
     bench::jsonMetric("pre_engine_exp_per_s", rate(preEngine));
     bench::jsonMetric("engine_cold_exp_per_s", rate(engineCold));
     bench::jsonMetric("engine_warm_exp_per_s", rate(engineWarm));
-    bench::jsonMetric("cold_speedup",
-                      preEngine.seconds / engineCold.seconds);
+    bench::jsonMetric("cold_ab_pre_engine_seconds",
+                      coldAbPreEngine.seconds);
+    bench::jsonMetric("cold_ab_engine_cold_seconds", coldAbCold.seconds);
+    bench::jsonMetric("cold_speedup", cold_speedup);
     bench::jsonMetric("warm_speedup",
                       preEngine.seconds / engineWarm.seconds);
     bench::jsonMetric("bit_identical", identical ? 1.0 : 0.0);
@@ -334,6 +379,7 @@ main(int argc, char **argv)
                            "engine (cold and warm cache).");
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
+    measureColdSpeedup();
     report();
     measureTelemetryOverhead();
     bench::writeJson(&finalEngineStats);
