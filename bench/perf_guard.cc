@@ -13,11 +13,11 @@
  * pre-flattening step (room for memory-bound classes, where the shared
  * cache model bounds the win, and for contended runners).
  *
- * Run as a plain binary: `perf_guard [--guard <name>] <blob.json>...`.
- * Each rule belongs to one named guard (replay, obs, step); --guard
- * checks only that guard's rules, so each guard is its own ctest entry
- * (perf_<name>_guard). Every blob must have at least one selected
- * rule; the guard fails when any rule does.
+ * Run as a plain binary: `perf_guard --guard <name> <blob.json>`.
+ * Each rule belongs to one named guard (replay, obs, step), and each
+ * guard is its own ctest entry (perf_<name>_guard). The blob's file
+ * name must match the guard's rules; the guard fails when any rule
+ * does.
  */
 
 #include <cstdio>
@@ -107,7 +107,7 @@ int
 usage(const char *argv0)
 {
     std::fprintf(stderr,
-                 "usage: %s [--guard <name>] <blob.json>...\nrules:\n",
+                 "usage: %s --guard <name> <blob.json>\nrules:\n",
                  argv0);
     for (const Rule &rule : rules)
         std::fprintf(stderr, "  %-6s %s: %s %s %g\n", rule.guard,
@@ -116,11 +116,11 @@ usage(const char *argv0)
     return 2;
 }
 
-/** Check the rules of one blob, only those of @p guard unless it is
- *  empty. @return failures, or -1 when the blob is unreadable, has no
- *  selected rules or lacks a metric. */
+/** Check @p guard's rules against the blob at @p path.
+ *  @return failures, or -1 when the blob is unreadable, is not the
+ *  guard's blob or lacks a metric. */
 int
-checkBlob(const std::string &path, const std::string &guard)
+checkBlob(const std::string &guard, const std::string &path)
 {
     size_t slash = path.find_last_of('/');
     std::string name =
@@ -139,8 +139,14 @@ checkBlob(const std::string &path, const std::string &guard)
 
     int checked = 0, failures = 0;
     for (const Rule &rule : rules) {
-        if (name != rule.blob || (!guard.empty() && guard != rule.guard))
+        if (guard != rule.guard)
             continue;
+        if (name != rule.blob) {
+            std::fprintf(stderr, "perf_guard: the %s guard reads %s, "
+                         "not '%s'\n", guard.c_str(), rule.blob,
+                         name.c_str());
+            return -1;
+        }
         ++checked;
         double value = 0.0;
         if (!findNumber(text, rule.metric, value)) {
@@ -160,9 +166,8 @@ checkBlob(const std::string &path, const std::string &guard)
         ++failures;
     }
     if (checked == 0) {
-        std::fprintf(stderr, "perf_guard: no %s%srules for '%s'\n",
-                     guard.c_str(), guard.empty() ? "" : " ",
-                     name.c_str());
+        std::fprintf(stderr, "perf_guard: no guard named '%s'\n",
+                     guard.c_str());
         return -1;
     }
     return failures;
@@ -177,23 +182,10 @@ main(int argc, char **argv)
         usage(argv[0]);
         return 0;
     }
-    int first = 1;
-    std::string guard;
-    if (argc > 1 && std::strcmp(argv[1], "--guard") == 0) {
-        if (argc < 3)
-            return usage(argv[0]);
-        guard = argv[2];
-        first = 3;
-    }
-    if (first >= argc)
+    if (argc != 4 || std::strcmp(argv[1], "--guard") != 0)
         return usage(argv[0]);
-
-    int failures = 0;
-    for (int i = first; i < argc; ++i) {
-        int result = checkBlob(argv[i], guard);
-        if (result < 0)
-            return 2;
-        failures += result;
-    }
+    int failures = checkBlob(argv[2], argv[3]);
+    if (failures < 0)
+        return 2;
     return failures ? 1 : 0;
 }

@@ -16,17 +16,17 @@
  *                whole race.
  *
  * The three paths produce bit-identical RaceResults (checked); the
- * speedup is pure evaluation-engine machinery. Two in-process A-Bs
- * follow: pre-engine vs cold on one thread (cold_speedup) and the cold
- * race with tracing off vs on (telemetry overhead).
+ * speedup is pure evaluation-engine machinery.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "bench/bench_common.hh"
 #include "common/log.hh"
@@ -96,14 +96,11 @@ uint64_t requestsPerRace = 0;
 std::unique_ptr<engine::EvalEngine> sharedEngine;
 engine::EngineStats finalEngineStats;
 
-/** An engine over the task's programs; @p threads 0 = hardware. */
 std::unique_ptr<engine::EvalEngine>
-makeEngine(unsigned threads = 0)
+makeEngine()
 {
     Task &t = task();
-    engine::EngineOptions options;
-    options.threads = threads;
-    auto eng = std::make_unique<engine::EvalEngine>(false, options);
+    auto eng = std::make_unique<engine::EvalEngine>(false);
     for (const isa::Program &prog : t.programs)
         eng->addInstance(prog);
     eng->setModelFn([&t](const tuner::Configuration &config) {
@@ -132,11 +129,10 @@ timedRace(Fn &&make_racer)
 }
 
 /** One pre-engine race: live functional execution per fresh pair,
- *  memoized and parallelized over @p threads (0 = hardware) by a
- *  SimpleCostEvaluator (exactly what the racer's CostFn convenience
- *  path wraps). */
+ *  memoized and parallelized by a SimpleCostEvaluator (exactly what
+ *  the racer's CostFn convenience path wraps). */
 PathResult
-racePreEngine(unsigned threads = 0)
+racePreEngine()
 {
     Task &t = task();
     tuner::CostFn live = [&t](const tuner::Configuration &config,
@@ -146,7 +142,7 @@ racePreEngine(unsigned threads = 0)
         core::InOrderCore sim(model);
         return t.cpiError(sim.run(source), t.programs[instance]);
     };
-    tuner::SimpleCostEvaluator live_eval(live, threads);
+    tuner::SimpleCostEvaluator live_eval(live, t.ropts.threads);
     return timedRace([&] {
         auto strategy = tuner::makeSearchStrategy(
             bench::strategyName(), t.sspace.space(), live_eval,
@@ -224,37 +220,32 @@ sameRace(const tuner::RaceResult &a, const tuner::RaceResult &b)
         && a.iterations == b.iterations;
 }
 
-/** Cold-path A-B behind cold_speedup, which perf_replay_guard requires
- *  to stay >= 1: the pre-engine and cold races again on one worker
- *  thread, interleaved, keeping each side's fastest of coldAbRounds.
- *  One thread because the guard checks per-evaluation cost (record
- *  once, replay packed vs functional re-execution). In the parallel
- *  races above, wall time is each racing step's slowest evaluation,
- *  and nearly every smoke step waits on one new instance's recording,
- *  so their ratio sits within a shared host's noise of 1. */
-constexpr int coldAbRounds = 3;
-PathResult coldAbPreEngine, coldAbCold;
-bool coldAbIdentical = true;
+/** cold_speedup, which perf_replay_guard requires to stay >= 1: the
+ *  median pre-engine / cold wall-time ratio over pairs of the same
+ *  parallel races, run back to back; the gbench passes are the first
+ *  pair. At smoke budget nearly every racing step waits on one new
+ *  instance's recording, so the ratio sits near 1.1 and one pair is
+ *  within a shared host's noise of 1: smoke mode runs smokeColdPairs.
+ *  A full-budget race is long enough for one pair. Every extra race
+ *  must repeat its path's RaceResult; clears @p identical if not. */
+constexpr size_t smokeColdPairs = 7;
 
-void
-measureColdSpeedup()
+double
+coldSpeedup(bool &identical)
 {
-    if (!preEngine.race || !engineCold.race)
-        return; // filtered run
-
-    for (int round = 0; round < coldAbRounds; ++round) {
-        PathResult r = racePreEngine(1);
-        coldAbIdentical =
-            coldAbIdentical && sameRace(*r.race, *preEngine.race);
-        if (round == 0 || r.seconds < coldAbPreEngine.seconds)
-            coldAbPreEngine = std::move(r);
-        auto eng = makeEngine(1);
-        r = raceEngine(*eng);
-        coldAbIdentical =
-            coldAbIdentical && sameRace(*r.race, *engineCold.race);
-        if (round == 0 || r.seconds < coldAbCold.seconds)
-            coldAbCold = std::move(r);
+    const size_t pairs = bench::smokeScaled<size_t>(1, smokeColdPairs);
+    std::vector<double> ratios{preEngine.seconds / engineCold.seconds};
+    while (ratios.size() < pairs) {
+        PathResult pre = racePreEngine();
+        auto eng = makeEngine();
+        PathResult cold = raceEngine(*eng);
+        identical = identical && sameRace(*pre.race, *preEngine.race)
+            && sameRace(*cold.race, *engineCold.race);
+        ratios.push_back(pre.seconds / cold.seconds);
     }
+    auto mid = ratios.begin() + ratios.size() / 2;
+    std::nth_element(ratios.begin(), mid, ratios.end());
+    return *mid;
 }
 
 /** Telemetry A-B: the same cold race with span recording paused vs
@@ -319,11 +310,9 @@ report()
     if (!preEngine.race || !engineCold.race || !engineWarm.race)
         return; // filtered run; gbench output already printed
 
-    bool identical = coldAbIdentical
-        && sameRace(*preEngine.race, *engineCold.race)
+    bool identical = sameRace(*preEngine.race, *engineCold.race)
         && sameRace(*engineCold.race, *engineWarm.race);
-    double cold_speedup = coldAbCold.seconds > 0.0
-        ? coldAbPreEngine.seconds / coldAbCold.seconds : 0.0;
+    double cold_speedup = coldSpeedup(identical);
 
     std::printf("\n=== racing throughput: %llu-experiment A53 task, "
                 "%llu evaluation requests per race ===\n",
@@ -339,10 +328,10 @@ report()
     std::printf("%-14s %10.2f %16.0f %9.2fx\n", "engine/warm",
                 engineWarm.seconds, rate(engineWarm),
                 preEngine.seconds / engineWarm.seconds);
-    std::printf("cold A-B (1 thread, min of %d interleaved): "
-                "pre-engine %.2f s, engine/cold %.2f s, %.2fx\n",
-                coldAbRounds, coldAbPreEngine.seconds,
-                coldAbCold.seconds, cold_speedup);
+    std::printf("cold speedup: %.2fx (median of %zu pre-engine/cold "
+                "pair(s))\n",
+                cold_speedup,
+                bench::smokeScaled<size_t>(1, smokeColdPairs));
     std::printf("RaceResults bit-identical across paths: %s\n",
                 identical ? "yes" : "NO (BUG)");
     bench::printEngineStats(finalEngineStats);
@@ -358,9 +347,6 @@ report()
     bench::jsonMetric("pre_engine_exp_per_s", rate(preEngine));
     bench::jsonMetric("engine_cold_exp_per_s", rate(engineCold));
     bench::jsonMetric("engine_warm_exp_per_s", rate(engineWarm));
-    bench::jsonMetric("cold_ab_pre_engine_seconds",
-                      coldAbPreEngine.seconds);
-    bench::jsonMetric("cold_ab_engine_cold_seconds", coldAbCold.seconds);
     bench::jsonMetric("cold_speedup", cold_speedup);
     bench::jsonMetric("warm_speedup",
                       preEngine.seconds / engineWarm.seconds);
@@ -379,7 +365,6 @@ main(int argc, char **argv)
                            "engine (cold and warm cache).");
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
-    measureColdSpeedup();
     report();
     measureTelemetryOverhead();
     bench::writeJson(&finalEngineStats);

@@ -8,7 +8,7 @@
  *   - determinism: a span never touches simulation state, RNG streams
  *     or evaluation ordering -- all bit-identity tests hold with
  *     tracing enabled (locked in by tests/test_obs.cc and the
- *     perf_guard_tuning_throughput ctest entry);
+ *     perf_obs_guard ctest entry);
  *   - hot-path cost: with no session active a Span is one relaxed
  *     atomic load; with a session active it is two steady_clock reads
  *     plus one ring-buffer slot write behind an uncontended per-thread
