@@ -1,9 +1,11 @@
 #include "campaign/checkpoint.hh"
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "common/json_writer.hh"
 #include "common/log.hh"
@@ -103,11 +105,17 @@ struct Json
     }
 };
 
+/** Deepest object/array nesting the parser accepts (the checkpoint
+ *  format needs 6); deeper input fails instead of overflowing the
+ *  stack. */
+constexpr unsigned maxJsonDepth = 32;
+
 struct Parser
 {
     const char *p;
     const char *end;
     bool ok = true;
+    unsigned depth = 0;
 
     void
     skipWs()
@@ -139,8 +147,16 @@ struct Parser
             return out;
         }
         switch (*p) {
-          case '{': return parseObject();
-          case '[': return parseArray();
+          case '{':
+          case '[': {
+            if (++depth > maxJsonDepth) {
+                ok = false;
+                return out;
+            }
+            Json nested = *p == '{' ? parseObject() : parseArray();
+            --depth;
+            return nested;
+          }
           case '"': return parseString();
           case 't':
           case 'f':
@@ -250,13 +266,35 @@ struct Parser
     }
 };
 
-tuner::Configuration
-readConfig(const Json &json)
+/** Read an integer field into @p out; false when the value is not a
+ *  finite, non-negative, integral number that fits @p T (casting one
+ *  that is not would be undefined behaviour). */
+template <typename T>
+bool
+readUnsigned(const Json &json, T &out)
 {
-    tuner::Configuration config(json.array.size());
-    for (size_t i = 0; i < json.array.size(); ++i)
-        config[i] = static_cast<uint16_t>(json.array[i].number);
-    return config;
+    double v = json.number;
+    // double(max) + 1 is exact for 16/32-bit T and rounds to 2^64 for
+    // uint64_t: either way the first value that does not fit.
+    if (json.kind != Json::Kind::Number || !std::isfinite(v) || v < 0.0
+        || v != std::floor(v)
+        || v >= static_cast<double>(std::numeric_limits<T>::max()) + 1.0)
+        return false;
+    out = static_cast<T>(v);
+    return true;
+}
+
+bool
+readConfig(const Json &json, tuner::Configuration &config)
+{
+    if (json.kind != Json::Kind::Array)
+        return false;
+    config = tuner::Configuration(json.array.size());
+    for (size_t i = 0; i < json.array.size(); ++i) {
+        if (!readUnsigned(json.array[i], config[i]))
+            return false;
+    }
+    return true;
 }
 
 std::vector<double>
@@ -270,7 +308,7 @@ readDoubles(const Json &json)
 }
 
 /** Pull one task entry out of its parsed object; false when a
- *  required field is missing or mistyped. */
+ *  required field is missing, mistyped or out of range. */
 bool
 readEntry(const Json &json, CheckpointEntry &out)
 {
@@ -284,28 +322,25 @@ readEntry(const Json &json, CheckpointEntry &out)
     const Json *elites = json.find("elites");
     if (!name || name->kind != Json::Kind::String
         || !fp || fp->kind != Json::Kind::String
-        || !best || best->kind != Json::Kind::Array
+        || !best || !readConfig(*best, out.result.best)
         || !mean || mean->kind != Json::Kind::Number
         || !costs || costs->kind != Json::Kind::Array
-        || !used || used->kind != Json::Kind::Number
-        || !iters || iters->kind != Json::Kind::Number
+        || !used || !readUnsigned(*used, out.result.experimentsUsed)
+        || !iters || !readUnsigned(*iters, out.result.iterations)
         || !elites || elites->kind != Json::Kind::Array)
         return false;
 
     out.name = name->string;
     out.fingerprint = std::strtoull(fp->string.c_str(), nullptr, 16);
-    out.result.best = readConfig(*best);
     out.result.bestMeanCost = mean->number;
     out.result.bestCosts = readDoubles(*costs);
-    out.result.experimentsUsed =
-        static_cast<uint64_t>(used->number);
-    out.result.iterations = static_cast<unsigned>(iters->number);
     for (const Json &elite : elites->array) {
         const Json *config = elite.find("config");
         const Json *cost = elite.find("mean_cost");
-        if (!config || !cost)
+        tuner::Configuration elite_config;
+        if (!config || !cost || !readConfig(*config, elite_config))
             return false;
-        out.result.elites.emplace_back(readConfig(*config),
+        out.result.elites.emplace_back(std::move(elite_config),
                                        cost->number);
     }
     return true;

@@ -30,24 +30,22 @@ EngineStats::summary() const
     std::string out;
     out += strprintf(
         "engine: %llu instances, %llu recorded (%llu insts; "
-        "%llu resident / %llu spilled / %llu readmitted; "
+        "%llu resident / %llu spilled; "
         "%.1f MiB packed, %.1f MiB sift)\n",
         static_cast<unsigned long long>(bank.instances),
         static_cast<unsigned long long>(bank.recordings),
         static_cast<unsigned long long>(bank.recordedInsts),
         static_cast<unsigned long long>(bank.residentTraces),
         static_cast<unsigned long long>(bank.spilledTraces),
-        static_cast<unsigned long long>(bank.readmittedTraces),
         static_cast<double>(bank.residentBytes) / (1024.0 * 1024.0),
         static_cast<double>(bank.encodedBytes) / (1024.0 * 1024.0));
     out += strprintf(
         "        cache: %llu hits / %llu misses (%.1f%% hit rate), "
-        "%llu entries, %llu evictions\n",
+        "%llu entries\n",
         static_cast<unsigned long long>(cache.hits),
         static_cast<unsigned long long>(cache.misses),
         100.0 * cache.hitRate(),
-        static_cast<unsigned long long>(cache.entries),
-        static_cast<unsigned long long>(cache.evictions));
+        static_cast<unsigned long long>(cache.entries));
     out += strprintf(
         "        %llu requests -> %llu fresh evals (%llu replays, "
         "%llu warm-file hits) in "
@@ -79,14 +77,12 @@ EngineStats::json() const
         .field("recorded_insts", bank.recordedInsts)
         .field("resident_traces", bank.residentTraces)
         .field("spilled_traces", bank.spilledTraces)
-        .field("readmitted_traces", bank.readmittedTraces)
         .field("packed_bytes", bank.residentBytes)
         .field("replays", bank.replays)
         .field("cache_hits", cache.hits)
         .field("cache_misses", cache.misses)
         .field("cache_hit_rate", cache.hitRate())
         .field("cache_entries", cache.entries)
-        .field("cache_evictions", cache.evictions)
         .field("requests", requests)
         .field("fresh_evals", evaluations)
         .field("warm_file_hits", warmFileHits)
@@ -112,14 +108,12 @@ EngineStats::samples() const
         {"recorded_insts", n(bank.recordedInsts)},
         {"resident_traces", n(bank.residentTraces)},
         {"spilled_traces", n(bank.spilledTraces)},
-        {"readmitted_traces", n(bank.readmittedTraces)},
         {"resident_bytes", n(bank.residentBytes)},
         {"replays", n(bank.replays)},
         {"cache_hits", n(cache.hits)},
         {"cache_misses", n(cache.misses)},
         {"cache_hit_rate", cache.hitRate()},
         {"cache_entries", n(cache.entries)},
-        {"cache_evictions", n(cache.evictions)},
         {"requests", n(requests)},
         {"fresh_evals", n(evaluations)},
         {"warm_file_hits", n(warmFileHits)},
@@ -138,9 +132,7 @@ EngineStats::samples() const
 
 EvalEngine::EvalEngine(core::ModelFamily family, EngineOptions options)
     : fam(family),
-      bank(options.memoryResidentMaxInsts, options.residencyBudgetInsts),
-      cache(options.cacheShards, options.cacheMaxEntriesPerShard),
-      pool(options.threads)
+      bank(options.memoryResidentMaxInsts), pool(options.threads)
 {
     // Export this engine's aggregate stats through the registry; the
     // heartbeat reporter and the metrics blobs pull them at snapshot
@@ -153,19 +145,7 @@ EvalEngine::EvalEngine(core::ModelFamily family, EngineOptions options)
 size_t
 EvalEngine::addInstance(const isa::Program &program)
 {
-    uint64_t program_fp = fingerprint(program);
-    size_t id = bank.add(program);
-
-    // Resolve any warm-start entries that were waiting for this
-    // program to be registered.
-    std::lock_guard<std::mutex> lock(pendingMutex);
-    auto it = pendingWarmStart.find(program_fp);
-    if (it != pendingWarmStart.end()) {
-        for (const auto &[model, value] : it->second)
-            cache.insert(EvalKey{model, id}, value);
-        pendingWarmStart.erase(it);
-    }
-    return id;
+    return bank.add(program);
 }
 
 EvalKey
@@ -231,8 +211,8 @@ EvalEngine::warmLookup(core::ModelFamily family,
                        size_t domain, EvalValue &out)
 {
     // A mapped warm file answers before any simulation runs. Its keys
-    // carry the program fingerprint (not the bank-local id), mirroring
-    // saveCache()/loadCache().
+    // carry the program fingerprint (not the bank-local id), as
+    // saveCache() writes them.
     if (!warm)
         return false;
     EvalKey disk_key{modelKey(family, model, instance, domain).model,
@@ -327,14 +307,6 @@ EvalEngine::evaluateModel(core::ModelFamily family,
     return value;
 }
 
-bool
-EvalEngine::isCached(const tuner::Configuration &config,
-                     size_t instance) const
-{
-    return cache.contains(
-        modelKey(fam, materialize(config), instance, 0));
-}
-
 std::vector<double>
 EvalEngine::evaluateMany(const std::vector<tuner::EvalPair> &pairs)
 {
@@ -379,54 +351,23 @@ EvalEngine::saveCache(const std::string &path) const
     // Translate the instance half of each key from the bank-local id
     // to the program's content fingerprint before writing, so the
     // file is valid for any future run that registers the same
-    // programs -- in any order, with any extras. Still-pending
-    // warm-start entries (programs this run never registered) are
-    // written back untouched rather than dropped.
+    // programs -- in any order, with any extras. The mapped warm
+    // file's records (programs this run may never have registered)
+    // are written back rather than dropped.
     EvalCache on_disk(1);
     for (const auto &[key, value] : cache.entries()) {
         on_disk.insert(
             EvalKey{key.model, fingerprint(bank.program(key.instance))},
             value);
     }
-    {
-        std::lock_guard<std::mutex> lock(pendingMutex);
-        for (const auto &[program_fp, entries] : pendingWarmStart) {
-            for (const auto &[model, value] : entries)
-                on_disk.insert(EvalKey{model, program_fp}, value);
+    if (warm) {
+        for (size_t i = 0; i < warm->size(); ++i) {
+            const EvalFileRecord &record = warm->record(i);
+            on_disk.insert(EvalKey{record.model, record.instance},
+                           EvalValue{record.cost, record.simCpi});
         }
     }
     return on_disk.save(path, persistDigest());
-}
-
-size_t
-EvalEngine::loadCache(const std::string &path)
-{
-    RV_SPAN("cache.load");
-    EvalCache from_disk(1);
-    bool compatible = true;
-    if (from_disk.load(path, persistDigest(), &compatible) == 0) {
-        warmRefused = !compatible;
-        return 0;
-    }
-
-    // Index registered programs by fingerprint; resolve what we can
-    // now, park the rest until addInstance() registers their program.
-    std::unordered_map<uint64_t, size_t> registered;
-    for (size_t id = 0; id < bank.size(); ++id)
-        registered.emplace(fingerprint(bank.program(id)), id);
-
-    size_t accepted = 0;
-    std::lock_guard<std::mutex> lock(pendingMutex);
-    for (const auto &[key, value] : from_disk.entries()) {
-        auto it = registered.find(key.instance);
-        if (it != registered.end())
-            cache.insert(EvalKey{key.model, it->second}, value);
-        else
-            pendingWarmStart[key.instance].emplace_back(key.model,
-                                                        value);
-        ++accepted;
-    }
-    return accepted;
 }
 
 size_t

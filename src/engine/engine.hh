@@ -13,7 +13,8 @@
  *     evaluation is a pure trace replay into a timing model;
  *   - a sharded EvalCache keyed by content fingerprints makes repeated
  *     and near-identical evaluations (elite re-races, perturbation
- *     sweeps) free, and can persist across runs;
+ *     sweeps) free; saved to disk and mapped back read-only, it warms
+ *     later runs;
  *   - a BatchEvaluator executes a whole racing step as one
  *     deduplicated batch over the thread pool;
  *   - EngineStats reports the resulting experiments/s to the drivers.
@@ -51,12 +52,6 @@ struct EngineOptions
     unsigned threads = 0;
     /** Traces above this instruction count stay sift-encoded only. */
     uint64_t memoryResidentMaxInsts = 1ull << 20;
-    /** Global packed-residency budget in insts (0 = unlimited). */
-    uint64_t residencyBudgetInsts = 0;
-    /** EvalCache lock shards. */
-    size_t cacheShards = 8;
-    /** Per-shard entry cap (0 = unbounded). */
-    size_t cacheMaxEntriesPerShard = 0;
 };
 
 /** Aggregate engine report, surfaced by the drivers. */
@@ -158,14 +153,6 @@ class EvalEngine : public tuner::CostEvaluator
     explicit EvalEngine(core::ModelFamily family,
                         EngineOptions options = {});
 
-    /** Legacy two-family constructor (OoO vs in-order). */
-    explicit EvalEngine(bool out_of_order, EngineOptions options = {})
-        : EvalEngine(out_of_order ? core::ModelFamily::Ooo
-                                  : core::ModelFamily::InOrder,
-                     options)
-    {
-    }
-
     /**
      * Register a benchmark instance (deduplicated by content).
      *
@@ -197,10 +184,6 @@ class EvalEngine : public tuner::CostEvaluator
 
     /** @return the default model family (construction-time choice). */
     core::ModelFamily modelFamily() const { return fam; }
-
-    /** @return true when the default family is the out-of-order model
-     *  (legacy two-family probe). */
-    bool outOfOrder() const { return fam == core::ModelFamily::Ooo; }
 
     /**
      * Set the configuration materializer. Required before any
@@ -287,10 +270,6 @@ class EvalEngine : public tuner::CostEvaluator
                               const core::CoreParams &model,
                               size_t instance);
 
-    /** @return true when the pair is already in the EvalCache. */
-    bool isCached(const tuner::Configuration &config,
-                  size_t instance) const;
-
     // tuner::CostEvaluator: the racing hot path.
     std::vector<double>
     evaluateMany(const std::vector<tuner::EvalPair> &pairs) override;
@@ -300,10 +279,14 @@ class EvalEngine : public tuner::CostEvaluator
     /// @name Cache persistence
     /// @{
     /**
-     * Persist the EvalCache. On disk the instance half of every key
-     * is the *program fingerprint* rather than the bank-local id, so
-     * files survive instance registration order and count changing
-     * between runs.
+     * Persist the EvalCache plus every record of the mapped warm file
+     * (so records of programs this run never registered survive). On
+     * disk the instance half of every key is the *program
+     * fingerprint* rather than the bank-local id, so files survive
+     * instance registration order and count changing between runs.
+     * The file is written aside and renamed into place, so a live
+     * mapping of the old file -- this engine's or another's -- stays
+     * valid.
      *
      * @return entries written (0 on I/O failure -- a warm-start file
      *         is a hint, failure to write one never kills a run).
@@ -311,32 +294,17 @@ class EvalEngine : public tuner::CostEvaluator
     size_t saveCache(const std::string &path) const;
 
     /**
-     * Load a previously saved cache. Entries whose program is already
-     * registered resolve immediately; the rest stay pending and
-     * resolve when addInstance() registers their program. Keys carry
-     * their timing-model family salt, so one file may serve engines of
-     * every family without aliasing; files from the pre-family format
-     * are refused.
-     *
-     * @return entries accepted (resolved + pending).
-     */
-    size_t loadCache(const std::string &path);
-
-    /** @return true when loadCache() found a file belonging to an
-     *  incompatible (pre-family) cache format -- do not saveCache()
-     *  over it. */
-    bool warmStartRefused() const { return warmRefused; }
-
-    /**
      * Map a previously saved cache file read-only (v3 format) and
      * serve fresh evaluations from it before simulating.
      *
-     * Unlike loadCache(), nothing is copied onto the heap: the file is
-     * mmap'd and binary-searched in place, so a whole campaign fleet
-     * of engines (threads or processes) shares one physical copy of
-     * the warm results. Keys resolve through program fingerprints,
-     * exactly as for loadCache(). Map before evaluation starts;
-     * mapping is not synchronized against concurrent evaluation.
+     * Nothing is copied onto the heap: the file is mmap'd and
+     * binary-searched in place, so a whole campaign fleet of engines
+     * (threads or processes) shares one physical copy of the warm
+     * results. Keys resolve through program fingerprints, so programs
+     * registered after mapping are served too. Keys carry their
+     * timing-model family salt, so one file may serve engines of every
+     * family without aliasing. Map before evaluation starts; mapping
+     * is not synchronized against concurrent evaluation.
      *
      * @return records mapped (0 on failure -- missing file, v2 or
      *         foreign format, digest mismatch -- with a warning).
@@ -353,8 +321,6 @@ class EvalEngine : public tuner::CostEvaluator
 
     TraceBank &traceBank() { return bank; }
     const TraceBank &traceBank() const { return bank; }
-    EvalCache &evalCache() { return cache; }
-    ThreadPool &threadPool() { return pool; }
 
     EngineStats stats() const;
 
@@ -399,14 +365,6 @@ class EvalEngine : public tuner::CostEvaluator
     ModelFn modelFn;
     /** Registered cost metrics; [0] is the setCostFn default. */
     std::vector<CostDomain> domains{1};
-
-    /** Loaded warm-start entries whose instance is not registered
-     *  yet: program fingerprint -> [(model key half, value)]. */
-    mutable std::mutex pendingMutex;
-    std::unordered_map<uint64_t,
-                       std::vector<std::pair<uint64_t, EvalValue>>>
-        pendingWarmStart;
-    bool warmRefused = false;
 
     /** Instances marked held out (never raced); see markHeldOut(). */
     std::vector<bool> heldOutFlags;

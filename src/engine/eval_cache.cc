@@ -37,8 +37,7 @@ recordLess(const EvalFileRecord &a, const EvalFileRecord &b)
 
 } // namespace
 
-EvalCache::EvalCache(size_t num_shards, size_t max_entries_per_shard)
-    : maxPerShard(max_entries_per_shard)
+EvalCache::EvalCache(size_t num_shards)
 {
     if (num_shards == 0)
         num_shards = 1;
@@ -89,27 +88,8 @@ EvalCache::insert(const EvalKey &key, const EvalValue &value)
 {
     Shard &shard = shardFor(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
-    if (maxPerShard && shard.map.size() >= maxPerShard
-        && !shard.map.count(key)) {
-        // Epoch eviction: drop an arbitrary quarter to make room for
-        // the next epoch of inserts without per-hit bookkeeping.
-        size_t target = maxPerShard - maxPerShard / 4;
-        while (shard.map.size() >= target) {
-            shard.map.erase(shard.map.begin());
-            ++shard.evictions;
-        }
-    }
     if (shard.map.emplace(key, value).second)
         ++shard.insertions;
-}
-
-void
-EvalCache::clear()
-{
-    for (auto &shard : shards) {
-        std::lock_guard<std::mutex> lock(shard->mutex);
-        shard->map.clear();
-    }
 }
 
 std::vector<std::pair<EvalKey, EvalValue>>
@@ -123,17 +103,6 @@ EvalCache::entries() const
     return out;
 }
 
-size_t
-EvalCache::size() const
-{
-    size_t total = 0;
-    for (const auto &shard : shards) {
-        std::lock_guard<std::mutex> lock(shard->mutex);
-        total += shard->map.size();
-    }
-    return total;
-}
-
 EvalCacheStats
 EvalCache::stats() const
 {
@@ -143,7 +112,6 @@ EvalCache::stats() const
         out.hits += shard->hits;
         out.misses += shard->misses;
         out.insertions += shard->insertions;
-        out.evictions += shard->evictions;
         out.entries += shard->map.size();
     }
     return out;
@@ -164,10 +132,14 @@ EvalCache::save(const std::string &path, uint64_t digest) const
     // mmap the file and binary-search it in place.
     std::sort(records.begin(), records.end(), recordLess);
 
-    std::FILE *file = std::fopen(path.c_str(), "wb");
+    // Temp file + rename: truncating the file in place would pull the
+    // pages out from under a live mapping of it (SIGBUS on its next
+    // lookup).
+    std::string tmp = path + ".tmp";
+    std::FILE *file = std::fopen(tmp.c_str(), "wb");
     if (!file) {
         warn("eval cache: cannot open '%s' for writing, not saving",
-             path.c_str());
+             tmp.c_str());
         return 0;
     }
     uint64_t count = records.size();
@@ -178,66 +150,13 @@ EvalCache::save(const std::string &path, uint64_t digest) const
         && (records.empty()
             || std::fwrite(records.data(), sizeof(EvalFileRecord),
                            records.size(), file) == records.size());
-    std::fclose(file);
-    if (!ok) {
-        warn("eval cache: short write to '%s'", path.c_str());
+    ok = (std::fclose(file) == 0) && ok;
+    if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
+        warn("eval cache: failed to write '%s'", path.c_str());
+        std::remove(tmp.c_str());
         return 0;
     }
     return records.size();
-}
-
-size_t
-EvalCache::load(const std::string &path, uint64_t digest,
-                bool *compatible)
-{
-    if (compatible)
-        *compatible = true;
-    std::FILE *file = std::fopen(path.c_str(), "rb");
-    if (!file)
-        return 0; // cold start
-    char magic[sizeof(cacheMagic)] = {};
-    uint64_t file_digest = 0;
-    uint64_t count = 0;
-    if (std::fread(magic, 1, sizeof(magic), file) != sizeof(magic)
-        || std::memcmp(magic, cacheMagic, sizeof(magic)) != 0
-        || std::fread(&file_digest, sizeof(file_digest), 1, file) != 1
-        || std::fread(&count, sizeof(count), 1, file) != 1) {
-        std::fclose(file);
-        if (std::memcmp(magic, cacheMagicV2, sizeof(magic)) == 0) {
-            warn("eval cache: '%s' is a v2 cache file; the v2 format "
-                 "is no longer readable -- delete it and let this run "
-                 "re-save it in the v3 (sorted, mmap-able) format",
-                 path.c_str());
-        } else {
-            warn("eval cache: '%s' is not a cache file, ignoring",
-                 path.c_str());
-        }
-        if (compatible)
-            *compatible = false;
-        return 0;
-    }
-    if (file_digest != digest) {
-        std::fclose(file);
-        warn("eval cache: '%s' was saved by a differently-shaped "
-             "engine (digest mismatch), ignoring", path.c_str());
-        if (compatible)
-            *compatible = false;
-        return 0;
-    }
-    size_t loaded = 0;
-    EvalFileRecord record;
-    for (uint64_t i = 0; i < count; ++i) {
-        if (std::fread(&record, sizeof(record), 1, file) != 1) {
-            warn("eval cache: '%s' truncated after %zu entries",
-                 path.c_str(), loaded);
-            break;
-        }
-        insert(EvalKey{record.model, record.instance},
-               EvalValue{record.cost, record.simCpi});
-        ++loaded;
-    }
-    std::fclose(file);
-    return loaded;
 }
 
 std::shared_ptr<const MappedEvalFile>
@@ -296,7 +215,9 @@ MappedEvalFile::open(const std::string &path, uint64_t digest,
     if (file_digest != digest)
         return fail("'" + path + "' was saved by a differently-shaped "
                     "engine (digest mismatch)");
-    if (headerBytes + file_count * sizeof(EvalFileRecord) > bytes)
+    // Divide rather than multiply: a hostile count must not wrap the
+    // bound and let lookups run past the mapping.
+    if (file_count > (bytes - headerBytes) / sizeof(EvalFileRecord))
         return fail("'" + path + "' is truncated");
 
     mapped->records = reinterpret_cast<const EvalFileRecord *>(

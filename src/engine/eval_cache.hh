@@ -6,8 +6,8 @@
  * The racing loop and the perturbation sweeps re-evaluate
  * near-identical configurations constantly (elites re-race every
  * iteration, Figs. 7/8 probe one step around the optimum); the cache
- * turns every repeat into a lookup. Optional save/load to disk lets
- * repeated runs start warm.
+ * turns every repeat into a lookup. A saved cache file, mapped back
+ * read-only by MappedEvalFile, lets repeated runs start warm.
  */
 
 #ifndef RACEVAL_ENGINE_EVAL_CACHE_HH
@@ -65,7 +65,6 @@ struct EvalCacheStats
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t insertions = 0;
-    uint64_t evictions = 0;
     uint64_t entries = 0; //!< current resident entries
 
     /** @return hits / (hits + misses), 0 when empty. */
@@ -83,19 +82,13 @@ struct EvalCacheStats
  *
  * Shard count is fixed at construction; keys map to shards by mixed
  * fingerprint, so concurrent workers contend only when they touch the
- * same shard. When a per-shard capacity is set, inserts that overflow
- * evict an arbitrary quarter of the shard (epoch eviction: cheap, no
- * LRU bookkeeping on the hit path).
+ * same shard. Entries are never evicted.
  */
 class EvalCache
 {
   public:
-    /**
-     * @param num_shards lock shards (rounded up to at least 1).
-     * @param max_entries_per_shard 0 = unbounded.
-     */
-    explicit EvalCache(size_t num_shards = 8,
-                       size_t max_entries_per_shard = 0);
+    /** @param num_shards lock shards (rounded up to at least 1). */
+    explicit EvalCache(size_t num_shards = 8);
 
     /** Look up a key; counts a hit or a miss. */
     bool lookup(const EvalKey &key, EvalValue &out);
@@ -107,12 +100,6 @@ class EvalCache
      *  no-ops, keeping deterministic first-result semantics). */
     void insert(const EvalKey &key, const EvalValue &value);
 
-    /** Drop every entry (counters survive). */
-    void clear();
-
-    /** @return current entry count. */
-    size_t size() const;
-
     /** @return a copy of every (key, value) pair. */
     std::vector<std::pair<EvalKey, EvalValue>> entries() const;
 
@@ -123,31 +110,16 @@ class EvalCache
      *
      * The cache file is a warm-start hint, not an archive: an
      * unwritable path warns and writes nothing rather than killing a
-     * finished run.
+     * finished run. The file is written to `path + ".tmp"` and renamed
+     * over @p path, so a live MappedEvalFile of the old file keeps
+     * reading the old contents instead of faulting on a truncated one.
      *
      * @param digest caller-provided compatibility stamp (the engine
-     *        digests its model kind); load() refuses files whose
-     *        digest does not match.
+     *        digests its cache format); MappedEvalFile::open() refuses
+     *        files whose digest does not match.
      * @return entries written (0 on I/O failure).
      */
     size_t save(const std::string &path, uint64_t digest = 0) const;
-
-    /**
-     * Merge entries from a previously saved file.
-     *
-     * Missing files are not an error (a cold start); a digest
-     * mismatch (cache saved by a differently-shaped engine) warns and
-     * loads nothing.
-     *
-     * @param[out] compatible when given, set to false only when the
-     *        file exists but belongs to someone else (bad magic or
-     *        digest mismatch) -- i.e. overwriting it would destroy
-     *        another engine's warm start.
-     * @return entries loaded (0 when the file does not exist or does
-     *         not match).
-     */
-    size_t load(const std::string &path, uint64_t digest = 0,
-                bool *compatible = nullptr);
 
   private:
     struct KeyHash
@@ -168,13 +140,11 @@ class EvalCache
         uint64_t hits = 0;
         uint64_t misses = 0;
         uint64_t insertions = 0;
-        uint64_t evictions = 0;
     };
 
     Shard &shardFor(const EvalKey &key);
     const Shard &shardFor(const EvalKey &key) const;
 
-    size_t maxPerShard;
     std::vector<std::unique_ptr<Shard>> shards;
 };
 
@@ -198,10 +168,12 @@ class MappedEvalFile
      * Map a cache file.
      *
      * @param path the file (must be v3 format).
-     * @param digest compatibility stamp, as for EvalCache::load().
+     * @param digest compatibility stamp, as for EvalCache::save().
      * @param[out] error when given, filled with the failure reason.
      * @return the mapping, or null on any failure (missing file, v2 or
-     *         foreign format, digest mismatch, truncation).
+     *         foreign format, digest mismatch, truncation). A mapping
+     *         never reaches past the end of the file, whatever its
+     *         header claims.
      */
     static std::shared_ptr<const MappedEvalFile>
     open(const std::string &path, uint64_t digest = 0,

@@ -9,10 +9,8 @@
 namespace raceval::engine
 {
 
-TraceBank::TraceBank(uint64_t memory_resident_max_insts,
-                     uint64_t residency_budget_insts)
-    : maxResidentInsts(memory_resident_max_insts),
-      residencyBudgetInsts(residency_budget_insts)
+TraceBank::TraceBank(uint64_t memory_resident_max_insts)
+    : maxResidentInsts(memory_resident_max_insts)
 {
 }
 
@@ -59,70 +57,40 @@ TraceBank::entryFor(size_t id)
 void
 TraceBank::record(Entry &entry)
 {
+    // call_once publishes trace and packedTrace to every caller, so
+    // they are read without the bank mutex once record() returns.
     std::call_once(entry.recordOnce, [&] {
         RV_SPAN("bank.record");
         vm::FunctionalCore live(entry.program);
-        auto trace = std::make_shared<const sift::SiftTrace>(
+        entry.trace = std::make_shared<const sift::SiftTrace>(
             sift::encodeTrace(entry.program, live));
+        uint64_t insts = entry.trace->instCount();
+        // Residency is decided here, once: small traces are packed,
+        // large ones replay from their sift bytes for good.
+        if (insts <= maxResidentInsts) {
+            sift::SiftCursor cursor(entry.trace);
+            entry.packedTrace = std::make_shared<const vm::PackedTrace>(
+                vm::PackedTrace::build(entry.trace->program(), cursor));
+        }
         {
             std::lock_guard<std::mutex> lock(mutex);
-            entry.trace = std::move(trace);
             ++counters.recordings;
-            counters.recordedInsts += entry.trace->instCount();
+            counters.recordedInsts += insts;
             counters.encodedBytes += entry.trace->encodedBytes();
-            // Provisionally spilled; admission moves it to resident.
-            ++counters.spilledTraces;
+            if (entry.packedTrace) {
+                ++counters.residentTraces;
+                counters.residentBytes += entry.packedTrace->packedBytes();
+                RV_GAUGE_SET("bank.resident_bytes",
+                             static_cast<int64_t>(counters.residentBytes));
+            } else {
+                ++counters.spilledTraces;
+            }
         }
-        RV_INSTANT("bank.spill", entry.trace->instCount());
-        tryAdmit(entry);
-    });
-}
-
-void
-TraceBank::tryAdmit(Entry &entry)
-{
-    // One packer per entry; concurrent replayers of other entries are
-    // not blocked (the global mutex is only taken for bookkeeping).
-    std::lock_guard<std::mutex> admit(entry.admitMutex);
-    uint64_t insts;
-    {
-        std::lock_guard<std::mutex> lock(mutex);
         if (entry.packedTrace)
-            return;
-        insts = entry.trace->instCount();
-        if (insts > maxResidentInsts)
-            return;
-        if (residencyBudgetInsts
-            && residentInsts + insts > residencyBudgetInsts)
-            return;
-        // Reserve before the (slow) pack so a concurrent admission of
-        // another entry cannot overshoot the budget.
-        residentInsts += insts;
-    }
-
-    sift::SiftCursor cursor(entry.trace);
-    auto packed = std::make_shared<const vm::PackedTrace>(
-        vm::PackedTrace::build(entry.trace->program(), cursor));
-
-    bool readmitted;
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        counters.residentBytes += packed->packedBytes();
-        entry.packedTrace = std::move(packed);
-        ++counters.residentTraces;
-        --counters.spilledTraces;
-        // First-recording admission is not a re-admission: the trace
-        // never served a replay from its spilled form.
-        readmitted = entry.servedSpilled;
-        if (readmitted)
-            ++counters.readmittedTraces;
-        RV_GAUGE_SET("bank.resident_bytes",
-                     static_cast<int64_t>(counters.residentBytes));
-    }
-    if (readmitted)
-        RV_INSTANT("bank.readmit", insts);
-    else
-        RV_INSTANT("bank.admit", insts);
+            RV_INSTANT("bank.admit", insts);
+        else
+            RV_INSTANT("bank.spill", insts);
+    });
 }
 
 TraceBank::Replay
@@ -130,22 +98,12 @@ TraceBank::replay(size_t id)
 {
     Entry &entry = entryFor(id);
     record(entry);
-    Replay out;
     {
         std::lock_guard<std::mutex> lock(mutex);
         ++counters.replays;
-        out.packed = entry.packedTrace;
-        if (!out.packed)
-            entry.servedSpilled = true;
     }
-    if (!out.packed) {
-        // Spilled: retry admission (the budget may have been raised or
-        // freed since recording) rather than re-walking the sift
-        // stream on every replay.
-        tryAdmit(entry);
-        std::lock_guard<std::mutex> lock(mutex);
-        out.packed = entry.packedTrace;
-    }
+    Replay out;
+    out.packed = entry.packedTrace;
     if (!out.packed)
         out.spilled = std::make_unique<sift::SiftCursor>(entry.trace);
     return out;
@@ -165,15 +123,7 @@ TraceBank::instCount(size_t id)
 {
     Entry &entry = entryFor(id);
     record(entry);
-    std::lock_guard<std::mutex> lock(mutex);
     return entry.trace->instCount();
-}
-
-void
-TraceBank::setResidencyBudget(uint64_t insts)
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    residencyBudgetInsts = insts;
 }
 
 TraceBankStats

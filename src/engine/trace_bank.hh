@@ -5,14 +5,12 @@
  * Every benchmark instance registered with the bank is functionally
  * executed exactly once; the resulting dynamic instruction stream is
  * memoized and every subsequent evaluation is a pure trace replay into
- * a timing model. Traces admitted to residency keep a packed
+ * a timing model. Residency is decided once, at record time: a trace
+ * at or below the per-trace threshold keeps a packed
  * structure-of-arrays form (vm::PackedTrace -- decoded once, replayed
- * through the zero-virtual-call PackedStream); traces above the
- * per-trace threshold or not fitting the global residency budget keep
- * only their compact sift encoding and replay through a SiftCursor
- * (the spill path). A spilled trace is re-admitted into packed
- * residency on a later replay once the budget allows it, instead of
- * re-walking its sift stream forever.
+ * through the zero-virtual-call PackedStream); a larger trace keeps
+ * only its compact sift encoding and replays through a SiftCursor
+ * (the spill path).
  */
 
 #ifndef RACEVAL_ENGINE_TRACE_BANK_HH
@@ -31,8 +29,7 @@
 namespace raceval::engine
 {
 
-/** Aggregate TraceBank counters (all monotonically increasing except
- *  the resident/spilled split, which moves on re-admission). */
+/** Aggregate TraceBank counters (all monotonically increasing). */
 struct TraceBankStats
 {
     uint64_t instances = 0;     //!< registered programs
@@ -41,7 +38,6 @@ struct TraceBankStats
     uint64_t recordedInsts = 0; //!< dynamic instructions recorded
     uint64_t residentTraces = 0; //!< traces with a packed in-memory form
     uint64_t spilledTraces = 0; //!< traces kept as sift bytes only
-    uint64_t readmittedTraces = 0; //!< spilled traces later packed
     uint64_t residentBytes = 0; //!< memory held by packed replay arrays
     uint64_t encodedBytes = 0;  //!< memory held by sift encodings
 };
@@ -58,16 +54,11 @@ class TraceBank
   public:
     /**
      * @param memory_resident_max_insts traces at or below this dynamic
-     *        instruction count are eligible for a packed in-memory
-     *        form; larger traces replay from their sift encoding only
-     *        (the spill path).
-     * @param residency_budget_insts global cap on the summed dynamic
-     *        instruction count of packed-resident traces (0 =
-     *        unlimited). A trace that does not fit stays spilled until
-     *        the budget allows it (see setResidencyBudget()).
+     *        instruction count get a packed in-memory form; larger
+     *        traces replay from their sift encoding only (the spill
+     *        path).
      */
-    explicit TraceBank(uint64_t memory_resident_max_insts = 1ull << 20,
-                       uint64_t residency_budget_insts = 0);
+    explicit TraceBank(uint64_t memory_resident_max_insts = 1ull << 20);
 
     /**
      * Register a program as a benchmark instance.
@@ -99,8 +90,7 @@ class TraceBank
     /**
      * Acquire one replay of an instance's recorded trace -- the replay
      * hot path: the packed form when resident, else a sift cursor.
-     * Records on first use and retries admission of a spilled trace
-     * once. Counts one replay.
+     * Records on first use. Counts one replay.
      */
     Replay replay(size_t id);
 
@@ -108,21 +98,13 @@ class TraceBank
      * Open a replay handle over an instance's recorded trace.
      *
      * Records the trace on first use (functional execution + sift
-     * encoding) and re-admits a spilled trace into packed residency
-     * when the budget allows. The returned source replays a stream
-     * byte-identical to live functional execution.
+     * encoding). The returned source replays a stream byte-identical
+     * to live functional execution.
      */
     std::unique_ptr<vm::TraceSource> open(size_t id);
 
     /** @return dynamic instruction count of an instance (records it). */
     uint64_t instCount(size_t id);
-
-    /**
-     * Adjust the global residency budget at runtime (0 = unlimited).
-     * Raising it lets spilled traces re-admit on their next replay;
-     * lowering it never evicts already-resident traces.
-     */
-    void setResidencyBudget(uint64_t insts);
 
     TraceBankStats stats() const;
 
@@ -131,26 +113,19 @@ class TraceBank
     {
         isa::Program program;
         std::once_flag recordOnce;
-        /** Serializes packed (re-)admission attempts. */
-        std::mutex admitMutex;
+        /** Set once by record(); read-only afterwards. */
         std::shared_ptr<const sift::SiftTrace> trace;
-        /** Packed replay form; null for spilled (sift-replayed) traces. */
+        /** Packed replay form; null for spilled (sift-replayed) traces.
+         *  Set once by record(); read-only afterwards. */
         std::shared_ptr<const vm::PackedTrace> packedTrace;
-        /** True once a replay was served from the spilled form. */
-        bool servedSpilled = false;
     };
 
     Entry &entryFor(size_t id);
     void record(Entry &entry);
 
-    /** Pack the recorded trace if eligible and within budget. */
-    void tryAdmit(Entry &entry);
-
     uint64_t maxResidentInsts;
 
     mutable std::mutex mutex;
-    uint64_t residencyBudgetInsts; //!< 0 = unlimited
-    uint64_t residentInsts = 0;    //!< summed instCount of packed traces
     std::vector<std::unique_ptr<Entry>> entries;
     std::unordered_map<uint64_t, size_t> byFingerprint;
     TraceBankStats counters;

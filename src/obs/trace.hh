@@ -22,9 +22,8 @@
  * literals only -- the ring stores the pointer, not a copy. Current
  * spans: race.run / race.iteration / race.step, engine.batch /
  * engine.eval, replay.pass (one per packed replay), bank.record,
- * cache.save / cache.load / cache.map, campaign.task /
- * campaign.checkpoint;
- * instants: bank.spill / bank.admit / bank.readmit / heartbeat.tick.
+ * cache.save / cache.map, campaign.task / campaign.checkpoint;
+ * instants: bank.spill / bank.admit / heartbeat.tick.
  *
  * -DRACEVAL_DISABLE_OBS compiles RV_SPAN / RV_INSTANT to nothing.
  */
@@ -153,8 +152,8 @@ class Span
     bool hasArg = false;
 };
 
-/** Record a zero-duration instant event (spill decisions,
- *  re-admissions, heartbeat ticks). */
+/** Record a zero-duration instant event (residency decisions,
+ *  heartbeat ticks). */
 inline void
 instant(const char *static_name) noexcept
 {

@@ -57,8 +57,8 @@ struct UbenchInfo
  * <= cap (relative ordering is preserved as far as possible). The
  * default cap matches the Table I tuning suite; long-loop firmware
  * workloads pass a larger cap so traces stay >= 1 M instructions and
- * exercise the TraceBank spill + re-admission path instead of being
- * silently halved below it.
+ * exercise the TraceBank spill path instead of being silently halved
+ * below it.
  */
 uint64_t scaledCount(uint64_t paper_count, uint64_t cap = 260'000);
 

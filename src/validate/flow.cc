@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include <unistd.h>
+
 #include "common/log.hh"
 #include "core/timing_model.hh"
 #include "stats/descriptive.hh"
@@ -79,11 +81,13 @@ ValidationFlow::ValidationFlow(const scenario::TargetBoard &target,
         (static_cast<uint64_t>(cost_kind) + 1)
             ^ target.fingerprintSalt);
 
-    if (!opts.evalCachePath.empty()) {
-        size_t loaded = evalEngine->loadCache(opts.evalCachePath);
-        if (opts.verbose && loaded > 0) {
-            inform("engine: warm-started %zu cached evaluations from "
-                   "'%s'", loaded, opts.evalCachePath.c_str());
+    // A missing cache file is a cold start, not worth a warning.
+    if (!opts.evalCachePath.empty()
+        && ::access(opts.evalCachePath.c_str(), F_OK) == 0) {
+        size_t mapped = evalEngine->mapWarmFile(opts.evalCachePath);
+        if (opts.verbose && mapped > 0) {
+            inform("engine: mapped %zu warm evaluations from '%s'",
+                   mapped, opts.evalCachePath.c_str());
         }
     }
 }
@@ -92,11 +96,12 @@ ValidationFlow::~ValidationFlow()
 {
     if (opts.evalCachePath.empty())
         return;
-    if (evalEngine->warmStartRefused()) {
-        // The file at this path uses an incompatible cache format
-        // (pre-family keys); overwriting it would destroy a warm
-        // start someone else may still depend on.
-        warn("flow: not saving eval cache over incompatible '%s'",
+    if (!evalEngine->warmFile()
+        && ::access(opts.evalCachePath.c_str(), F_OK) == 0) {
+        // The file at this path did not map (foreign or v2 format,
+        // digest mismatch, truncation); overwriting it would destroy
+        // a file someone else may still depend on.
+        warn("flow: not saving eval cache over unmappable '%s'",
              opts.evalCachePath.c_str());
         return;
     }

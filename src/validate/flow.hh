@@ -68,8 +68,11 @@ struct FlowOptions
     std::string strategy = tuner::defaultSearchStrategy;
     CostKind costKind = CostKind::Cpi;
     bool verbose = false;
-    /** When set, the engine's EvalCache is loaded from this path at
-     *  start and saved back after run() -- repeated runs start warm. */
+    /** When set, the cache file at this path is mapped as the
+     *  engine's warm file at start and the engine's results are saved
+     *  back to it when the flow is destroyed -- repeated runs start
+     *  warm. A file that exists but does not map is never
+     *  overwritten. */
     std::string evalCachePath;
 };
 
@@ -124,9 +127,10 @@ class ValidationFlow
     {
     }
 
-    /** Saves the engine's EvalCache to options.evalCachePath (when
-     *  set), so everything evaluated over the flow's lifetime --
-     *  including post-run() SPEC sweeps -- warms the next run. */
+    /** Saves the engine's EvalCache and warm file to
+     *  options.evalCachePath (when set), so everything evaluated over
+     *  the flow's lifetime -- including post-run() SPEC sweeps --
+     *  warms the next run. */
     ~ValidationFlow();
 
     /** Execute steps #1 through #6. */

@@ -9,8 +9,8 @@
  * linked-list traversal. All three are built from the same assembly
  * idioms as the Table I micro-benchmarks, but run as *long* traces
  * (>= 1 M dynamic instructions after scaling) so they cross the
- * TraceBank spill threshold and exercise the sift spill + re-admission
- * path that short tuning traces never touch.
+ * TraceBank spill threshold and exercise the sift spill path that
+ * short tuning traces never touch.
  */
 
 #ifndef RACEVAL_WORKLOAD_FIRMWARE_HH

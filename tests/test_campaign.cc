@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <string>
 
 #include "campaign/campaign.hh"
 #include "campaign/checkpoint.hh"
@@ -54,7 +55,8 @@ makeModelFn(const tuner::ParameterSpace &space)
 std::unique_ptr<engine::EvalEngine>
 makeEngine()
 {
-    auto eng = std::make_unique<engine::EvalEngine>(false);
+    auto eng = std::make_unique<engine::EvalEngine>(
+        core::ModelFamily::InOrder);
     for (const char *name : {"CCh", "EI", "MM", "STc"})
         eng->addInstance(smallProgram(name));
     return eng;
@@ -318,6 +320,94 @@ TEST(Checkpoint, MissingAndMalformedFilesAreFreshStarts)
     std::remove(path.c_str());
 }
 
+// A deeply nested value fails the parse instead of overflowing the
+// stack of the recursive-descent parser.
+TEST(Checkpoint, DeepNestingIsMalformed)
+{
+    std::string path = ::testing::TempDir() + "/checkpoint-deep.json";
+    std::FILE *file = std::fopen(path.c_str(), "w");
+    ASSERT_NE(file, nullptr);
+    std::string text = "{\"version\": 1, \"tasks\": "
+        + std::string(200000, '[');
+    ASSERT_EQ(std::fwrite(text.data(), 1, text.size(), file),
+              text.size());
+    std::fclose(file);
+    setQuiet(true);
+    EXPECT_TRUE(loadCheckpoint(path).empty());
+    setQuiet(false);
+    std::remove(path.c_str());
+}
+
+// Integer fields holding a negative, non-integral, non-finite or
+// too-large number make their entry malformed (skipped) instead of
+// being cast out of range.
+TEST(Checkpoint, OutOfRangeNumbersSkipTheEntry)
+{
+    CheckpointEntry entry;
+    entry.name = "t";
+    entry.fingerprint = 1;
+    tuner::Configuration best(2);
+    best[0] = 1;
+    best[1] = 2;
+    entry.result.best = best;
+    entry.result.bestMeanCost = 0.5;
+    entry.result.bestCosts = {0.5};
+    entry.result.experimentsUsed = 10;
+    entry.result.iterations = 2;
+    entry.result.elites.emplace_back(best, 0.5);
+
+    std::string path = ::testing::TempDir() + "/checkpoint-range.json";
+    ASSERT_EQ(saveCheckpoint(path, {entry}), 1u);
+    std::string good;
+    {
+        std::FILE *file = std::fopen(path.c_str(), "rb");
+        ASSERT_NE(file, nullptr);
+        char buf[4096];
+        size_t got;
+        while ((got = std::fread(buf, 1, sizeof(buf), file)) > 0)
+            good.append(buf, got);
+        std::fclose(file);
+    }
+    // Load the saved text with one field replaced.
+    auto loadWith = [&](const std::string &from, const std::string &to) {
+        std::string text = good;
+        size_t at = text.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        if (at != std::string::npos)
+            text.replace(at, from.size(), to);
+        std::FILE *file = std::fopen(path.c_str(), "w");
+        EXPECT_NE(file, nullptr);
+        std::fputs(text.c_str(), file);
+        std::fclose(file);
+        return loadCheckpoint(path);
+    };
+
+    // The boundary values still load.
+    std::vector<CheckpointEntry> loaded =
+        loadWith("\"best\": [1,2]", "\"best\": [65535,0]");
+    ASSERT_EQ(loaded.size(), 1u);
+    EXPECT_EQ(loaded[0].result.best[0], 65535);
+    EXPECT_EQ(loadWith("\"experiments_used\": 10",
+                       "\"experiments_used\": 0").size(),
+              1u);
+
+    setQuiet(true);
+    const std::pair<const char *, const char *> hostile[] = {
+        {"\"best\": [1,2]", "\"best\": [-1, 1e300]"},
+        {"\"best\": [1,2]", "\"best\": [65536,2]"},
+        {"\"best\": [1,2]", "\"best\": [1.5,2]"},
+        {"\"experiments_used\": 10", "\"experiments_used\": -5"},
+        {"\"experiments_used\": 10", "\"experiments_used\": 1e30"},
+        {"\"experiments_used\": 10", "\"experiments_used\": inf"},
+        {"\"iterations\": 2", "\"iterations\": 4294967296"},
+        {"{\"config\": [1,2]", "{\"config\": [1,-2]"},
+    };
+    for (const auto &[from, to] : hostile)
+        EXPECT_TRUE(loadWith(from, to).empty()) << to;
+    setQuiet(false);
+    std::remove(path.c_str());
+}
+
 TEST(Campaign, MixedStrategyFleetCheckpointResume)
 {
     // One fleet, three strategies. Checkpoint-resume across the mix
@@ -471,7 +561,7 @@ TEST(Campaign, TaskFingerprintTracksDefinition)
 
     // The engine's timing-model kind too: CoreParams content carries
     // no in-order/OoO distinction, so the fingerprint must.
-    engine::EvalEngine ooo_engine(true);
+    engine::EvalEngine ooo_engine(core::ModelFamily::Ooo);
     for (const char *name : {"CCh", "EI", "MM", "STc"})
         ooo_engine.addInstance(smallProgram(name));
     EXPECT_NE(taskFingerprint(ooo_engine, base), fp);

@@ -138,17 +138,6 @@ TEST(EvalCache, FirstWriteWins)
     EXPECT_EQ(cache.stats().insertions, 1u);
 }
 
-TEST(EvalCache, BoundedShardEvicts)
-{
-    EvalCache cache(/*num_shards=*/1, /*max_entries_per_shard=*/64);
-    for (uint64_t i = 0; i < 1000; ++i)
-        cache.insert(EvalKey{i, i}, EvalValue{double(i), 0.0});
-    EvalCacheStats stats = cache.stats();
-    EXPECT_LE(stats.entries, 64u);
-    EXPECT_GT(stats.evictions, 0u);
-    EXPECT_EQ(stats.insertions - stats.evictions, stats.entries);
-}
-
 TEST(EvalCache, PersistenceRoundTrip)
 {
     std::string path = ::testing::TempDir() + "/evalcache.bin";
@@ -157,30 +146,34 @@ TEST(EvalCache, PersistenceRoundTrip)
         cache.insert(EvalKey{i * 31, i}, EvalValue{0.5 * i, 2.0 * i});
     EXPECT_EQ(cache.save(path), 100u);
 
-    EvalCache warm(8); // different shard count must not matter
-    EXPECT_EQ(warm.load(path), 100u);
-    EXPECT_EQ(warm.size(), 100u);
-    EvalValue out;
-    ASSERT_TRUE(warm.lookup(EvalKey{31 * 7, 7}, out));
-    EXPECT_DOUBLE_EQ(out.cost, 3.5);
-    EXPECT_DOUBLE_EQ(out.simCpi, 14.0);
+    // Every saved entry maps back with its exact value.
+    auto warm = MappedEvalFile::open(path);
+    ASSERT_NE(warm, nullptr);
+    EXPECT_EQ(warm->size(), 100u);
+    for (const auto &[key, value] : cache.entries()) {
+        EvalValue out;
+        ASSERT_TRUE(warm->lookup(key, out));
+        EXPECT_EQ(out.cost, value.cost);
+        EXPECT_EQ(out.simCpi, value.simCpi);
+    }
 
-    // Loading a missing file is a cold start, not an error.
-    EvalCache cold;
-    EXPECT_EQ(cold.load(::testing::TempDir() + "/does-not-exist.bin"),
-              0u);
+    // A missing file does not map.
+    std::string error;
+    EXPECT_EQ(MappedEvalFile::open(
+                  ::testing::TempDir() + "/does-not-exist.bin", 0,
+                  &error),
+              nullptr);
+    EXPECT_FALSE(error.empty());
 
     // A digest mismatch (cache saved by a differently-shaped engine)
     // must refuse the file rather than serve aliased results.
-    setQuiet(true);
     EvalCache stamped(2);
     stamped.insert(EvalKey{1, 2}, EvalValue{3.0, 4.0});
     stamped.save(path, /*digest=*/0xa53);
-    EvalCache other(2);
-    EXPECT_EQ(other.load(path, /*digest=*/0xa72), 0u);
-    EXPECT_EQ(other.size(), 0u);
-    EXPECT_EQ(other.load(path, 0xa53), 1u);
-    setQuiet(false);
+    EXPECT_EQ(MappedEvalFile::open(path, /*digest=*/0xa72), nullptr);
+    auto matched = MappedEvalFile::open(path, 0xa53);
+    ASSERT_NE(matched, nullptr);
+    EXPECT_EQ(matched->size(), 1u);
     std::remove(path.c_str());
 }
 
@@ -199,7 +192,7 @@ TEST(Fingerprint, ModelContentSensitivity)
 
 TEST(Engine, RepeatEvaluationsAreCacheHits)
 {
-    EvalEngine engine(false);
+    EvalEngine engine(core::ModelFamily::InOrder);
     size_t instance = engine.addInstance(smallProgram("STc", 6000));
     core::CoreParams model = core::publicInfoA53();
 
@@ -219,7 +212,7 @@ TEST(Engine, RepeatEvaluationsAreCacheHits)
 
 TEST(Engine, BatchDeduplicatesIdenticalKeys)
 {
-    EvalEngine engine(false);
+    EvalEngine engine(core::ModelFamily::InOrder);
     size_t i0 = engine.addInstance(smallProgram("EI", 6000));
     size_t i1 = engine.addInstance(smallProgram("MM", 6000));
 
@@ -260,9 +253,8 @@ TEST(Engine, BatchDeduplicatesIdenticalKeys)
 }
 
 // A spilled trace replays from its sift encoding. Each fresh
-// evaluation is one bank replay (and one admission retry), whether it
-// runs through evaluateModel or a batch, and its value matches the
-// packed path's.
+// evaluation is one bank replay, whether it runs through evaluateModel
+// or a batch, and its value matches the packed path's.
 TEST(Engine, SpilledReplayCountsOncePerFreshEval)
 {
     EngineOptions spill;
@@ -289,7 +281,7 @@ TEST(Engine, SpilledReplayCountsOncePerFreshEval)
     EXPECT_EQ(stats.evaluations, n);
     EXPECT_EQ(stats.bank.replays, n);
     EXPECT_EQ(stats.bank.spilledTraces, 1u);
-    EXPECT_EQ(stats.bank.readmittedTraces, 0u);
+    EXPECT_EQ(stats.bank.residentTraces, 0u);
     for (unsigned i = 1; i < n; ++i) {
         EXPECT_EQ(batch.simCpi(tickets[i - 1]),
                   resident.evaluateModel(models[i], resident_id).simCpi)
@@ -306,7 +298,7 @@ TEST(Engine, WarmStartSurvivesRegistrationOrder)
 
     EvalValue val_a, val_b;
     {
-        EvalEngine eng(false);
+        EvalEngine eng(core::ModelFamily::InOrder);
         size_t ia = eng.addInstance(prog_a);
         size_t ib = eng.addInstance(prog_b);
         val_a = eng.evaluateModel(model, ia);
@@ -315,14 +307,14 @@ TEST(Engine, WarmStartSurvivesRegistrationOrder)
     }
 
     // New engine, reversed registration order, one program registered
-    // only after the load: persisted keys are program-content based,
-    // so everything must still resolve to cache hits.
-    EvalEngine warm(false);
+    // only after the mapping: persisted keys are program-content
+    // based, so everything must still be served from the warm file.
+    EvalEngine warm(core::ModelFamily::InOrder);
     size_t ib = warm.addInstance(prog_b);
-    EXPECT_EQ(warm.loadCache(path), 2u);
+    EXPECT_EQ(warm.mapWarmFile(path), 2u);
     EXPECT_DOUBLE_EQ(warm.evaluateModel(model, ib).simCpi,
                      val_b.simCpi);
-    size_t ia = warm.addInstance(prog_a); // resolves the pending entry
+    size_t ia = warm.addInstance(prog_a); // registered after mapping
     EXPECT_DOUBLE_EQ(warm.evaluateModel(model, ia).simCpi,
                      val_a.simCpi);
     EXPECT_EQ(warm.stats().evaluations, 0u);
@@ -331,15 +323,20 @@ TEST(Engine, WarmStartSurvivesRegistrationOrder)
     // Keys are family-salted, so an engine of another model family
     // accepts the same file -- but its own evaluations are all fresh
     // (the in-order entries never alias into the OoO family).
-    EvalEngine ooo(true);
+    EvalEngine ooo(core::ModelFamily::Ooo);
     size_t oa = ooo.addInstance(prog_a);
-    EXPECT_EQ(ooo.loadCache(path), 2u);
-    // The loaded entries never alias into the OoO family: this
+    EXPECT_EQ(ooo.mapWarmFile(path), 2u);
+    // The mapped entries never alias into the OoO family: this
     // evaluation must run fresh (both families may legitimately
     // produce the same CPI on width-saturated code, so the count --
     // not the value -- is the aliasing proof).
     ooo.evaluateModel(model, oa);
     EXPECT_EQ(ooo.stats().evaluations, 1u);
+
+    // Saving over its own mapping writes every mapped record back --
+    // prog_b's too, which this engine never registered -- next to the
+    // new entry.
+    EXPECT_EQ(ooo.saveCache(path), 3u);
     std::remove(path.c_str());
 }
 
@@ -382,7 +379,7 @@ TEST(Engine, FamiliesNeverAliasInSharedWarmCache)
     for (size_t f = 0; f < 3; ++f) {
         EvalEngine warm(families[f]);
         size_t id = warm.addInstance(prog);
-        EXPECT_EQ(warm.loadCache(path), 3u);
+        EXPECT_EQ(warm.mapWarmFile(path), 3u);
         EXPECT_DOUBLE_EQ(warm.evaluateModel(model, id).simCpi, cpi[f]);
         EXPECT_EQ(warm.stats().evaluations, 0u);
     }
@@ -391,7 +388,7 @@ TEST(Engine, FamiliesNeverAliasInSharedWarmCache)
 
 TEST(Engine, CostTagSeparatesMetrics)
 {
-    EvalEngine engine(false);
+    EvalEngine engine(core::ModelFamily::InOrder);
     size_t instance = engine.addInstance(smallProgram("CCe", 5000));
     core::CoreParams model = core::publicInfoA53();
 
@@ -456,7 +453,7 @@ TEST(Engine, RacerBitIdenticalWithEngineSwappedIn)
     tuner::RaceResult live = live_racer.run();
 
     // Path B: the engine -- record-once trace replay + EvalCache.
-    EvalEngine engine(false);
+    EvalEngine engine(core::ModelFamily::InOrder);
     for (const isa::Program &prog : programs)
         engine.addInstance(prog);
     engine.setModelFn(materialize);
@@ -559,7 +556,7 @@ TEST(Engine, EveryStrategyBitIdenticalLiveVsEngineColdVsWarm)
         EXPECT_LE(live.experimentsUsed, opts.maxExperiments)
             << info.name;
 
-        EvalEngine engine(false);
+        EvalEngine engine(core::ModelFamily::InOrder);
         for (const isa::Program &prog : programs)
             engine.addInstance(prog);
         engine.setModelFn(materialize);

@@ -1,15 +1,17 @@
 /** @file Packed-replay determinism tests: a core copied mid-run
  *  continues exactly like an uninterrupted run for every timing family,
- *  packed replay matches the generic TraceSource run, TraceBank
- *  residency re-admission, and the v3 (sorted, mmap-able) EvalCache
- *  file format. */
+ *  packed replay matches the generic TraceSource run, and the v3
+ *  (sorted, mmap-able) EvalCache file format and its mapper under
+ *  hostile input. */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 #include <unistd.h>
 
 #include "core/inorder.hh"
@@ -284,53 +286,6 @@ TEST(StepDispatch, StaticRowKindTagsGolden)
     }
 }
 
-// --------------------------------------------------- TraceBank residency
-
-// A spilled trace (residency budget too small at record time) is
-// re-admitted into packed residency on a later replay once the budget
-// allows, instead of re-walking the sift stream forever.
-TEST(TraceBankResidency, SpilledTraceReadmittedWhenBudgetAllows)
-{
-    engine::TraceBank bank(/*memory_resident_max_insts=*/1ull << 20,
-                           /*residency_budget_insts=*/1);
-    isa::Program prog = smallProgram("MC");
-    size_t id = bank.add(prog);
-
-    // First replay: recorded, but the 1-inst budget blocks admission.
-    EXPECT_EQ(bank.replay(id).packed, nullptr);
-    engine::TraceBankStats stats = bank.stats();
-    EXPECT_EQ(stats.spilledTraces, 1u);
-    EXPECT_EQ(stats.residentTraces, 0u);
-    EXPECT_EQ(stats.readmittedTraces, 0u);
-
-    // Budget raised: the next replay re-admits the trace.
-    bank.setResidencyBudget(0); // unlimited
-    std::shared_ptr<const vm::PackedTrace> packed = bank.replay(id).packed;
-    ASSERT_NE(packed, nullptr);
-    EXPECT_EQ(packed->instCount(), bank.instCount(id));
-    stats = bank.stats();
-    EXPECT_EQ(stats.spilledTraces, 0u);
-    EXPECT_EQ(stats.residentTraces, 1u);
-    EXPECT_EQ(stats.readmittedTraces, 1u);
-    EXPECT_GT(stats.residentBytes, 0u);
-
-    // open() now serves the packed cursor; no further re-admissions.
-    auto cursor = bank.open(id);
-    EXPECT_NE(dynamic_cast<vm::PackedCursor *>(cursor.get()), nullptr);
-    EXPECT_EQ(bank.stats().readmittedTraces, 1u);
-}
-
-// First-time admission at record time must never count as re-admission.
-TEST(TraceBankResidency, FirstAdmissionIsNotReadmission)
-{
-    engine::TraceBank bank;
-    size_t id = bank.add(smallProgram("CCh"));
-    EXPECT_NE(bank.replay(id).packed, nullptr);
-    engine::TraceBankStats stats = bank.stats();
-    EXPECT_EQ(stats.residentTraces, 1u);
-    EXPECT_EQ(stats.readmittedTraces, 0u);
-}
-
 // ------------------------------------------------------- EvalCache v3
 
 namespace
@@ -359,11 +314,6 @@ TEST(EvalCacheV3, MappedLoadEqualsHeapLoadEntryForEntry)
     engine::EvalCache original = syntheticCache(257);
     ASSERT_EQ(original.save(testCachePath, /*digest=*/7), 257u);
 
-    engine::EvalCache heap(4);
-    bool compatible = false;
-    ASSERT_EQ(heap.load(testCachePath, 7, &compatible), 257u);
-    EXPECT_TRUE(compatible);
-
     std::string error;
     auto mapped = engine::MappedEvalFile::open(testCachePath, 7, &error);
     ASSERT_NE(mapped, nullptr) << error;
@@ -379,14 +329,11 @@ TEST(EvalCacheV3, MappedLoadEqualsHeapLoadEntryForEntry)
             << "records out of order at " << i;
     }
 
-    // Entry-for-entry: every original entry answers identically from
-    // the heap load and the mapping.
+    // Entry-for-entry: every entry of the saved cache answers from the
+    // mapping with its exact value.
     for (const auto &[key, value] : original.entries()) {
-        engine::EvalValue from_heap, from_map;
-        ASSERT_TRUE(heap.lookup(key, from_heap));
+        engine::EvalValue from_map;
         ASSERT_TRUE(mapped->lookup(key, from_map));
-        EXPECT_EQ(value.cost, from_heap.cost);
-        EXPECT_EQ(value.simCpi, from_heap.simCpi);
         EXPECT_EQ(value.cost, from_map.cost);
         EXPECT_EQ(value.simCpi, from_map.simCpi);
     }
@@ -409,14 +356,6 @@ TEST(EvalCacheV3, RefusesV2FilesWithClearError)
     ASSERT_EQ(std::fwrite(&digest, 8, 1, file), 1u);
     ASSERT_EQ(std::fwrite(&count, 8, 1, file), 1u);
     std::fclose(file);
-
-    // Heap load refuses and flags incompatibility (so callers do not
-    // overwrite someone else's file by accident).
-    engine::EvalCache cache;
-    bool compatible = true;
-    EXPECT_EQ(cache.load(testCachePath, 7, &compatible), 0u);
-    EXPECT_FALSE(compatible);
-    EXPECT_EQ(cache.size(), 0u);
 
     // The mapper refuses with an error that names the v2 format.
     std::string error;
@@ -445,6 +384,133 @@ TEST(EvalCacheV3, MapperRejectsDigestMismatchAndTruncation)
     EXPECT_EQ(engine::MappedEvalFile::open(testCachePath, 7, &error),
               nullptr);
     EXPECT_NE(error.find("truncated"), std::string::npos) << error;
+
+    std::remove(testCachePath);
+}
+
+namespace
+{
+
+std::vector<char>
+readBytes(const char *path)
+{
+    std::vector<char> bytes;
+    std::FILE *file = std::fopen(path, "rb");
+    EXPECT_NE(file, nullptr);
+    if (!file)
+        return bytes;
+    char buf[4096];
+    size_t got;
+    while ((got = std::fread(buf, 1, sizeof(buf), file)) > 0)
+        bytes.insert(bytes.end(), buf, buf + got);
+    std::fclose(file);
+    return bytes;
+}
+
+void
+writeBytes(const char *path, const std::vector<char> &bytes)
+{
+    std::FILE *file = std::fopen(path, "wb");
+    ASSERT_NE(file, nullptr);
+    // fwrite of an empty vector's (null) data() is undefined.
+    if (!bytes.empty()) {
+        EXPECT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), file),
+                  bytes.size());
+    }
+    std::fclose(file);
+}
+
+/** Map a byte image as a digest-7 cache file. It must be refused with
+ *  an error, or map no more records than the file holds -- and every
+ *  mapped record must be readable. */
+void
+expectRefusedOrInBounds(const std::vector<char> &bytes,
+                        const std::string &what)
+{
+    writeBytes(testCachePath, bytes);
+    std::string error;
+    auto mapped = engine::MappedEvalFile::open(testCachePath, 7, &error);
+    if (!mapped) {
+        EXPECT_FALSE(error.empty()) << what;
+        return;
+    }
+    size_t fits = (bytes.size() - 24) / sizeof(engine::EvalFileRecord);
+    ASSERT_LE(mapped->size(), fits) << what;
+    for (size_t i = 0; i < mapped->size(); ++i) {
+        const engine::EvalFileRecord &record = mapped->record(i);
+        engine::EvalValue out;
+        mapped->lookup(engine::EvalKey{record.model, record.instance},
+                       out);
+    }
+}
+
+} // namespace
+
+// A deterministic hostile-input corpus over a small saved file: an
+// oversized record count, truncation at every byte offset and every
+// single-bit flip of the header. Each case ends refused or in bounds
+// (the sanitizer job turns any stray read into a failure).
+TEST(EvalCacheV3, MapperSurvivesHostileHeaders)
+{
+    engine::EvalCache original = syntheticCache(4);
+    ASSERT_EQ(original.save(testCachePath, 7), 4u);
+    const std::vector<char> good = readBytes(testCachePath);
+    ASSERT_EQ(good.size(), 24 + 4 * sizeof(engine::EvalFileRecord));
+
+    // 24 + 2^59 * 32 wraps to 24: the count must still be refused.
+    std::vector<char> huge = good;
+    uint64_t count = 1ull << 59;
+    std::memcpy(huge.data() + 16, &count, sizeof(count));
+    writeBytes(testCachePath, huge);
+    std::string error;
+    EXPECT_EQ(engine::MappedEvalFile::open(testCachePath, 7, &error),
+              nullptr);
+    EXPECT_NE(error.find("truncated"), std::string::npos) << error;
+
+    for (size_t n = 0; n < good.size(); ++n) {
+        expectRefusedOrInBounds(
+            std::vector<char>(good.begin(), good.begin() + n),
+            "truncated to " + std::to_string(n) + " bytes");
+    }
+    for (size_t byte = 0; byte < 24; ++byte) {
+        for (int bit = 0; bit < 8; ++bit) {
+            std::vector<char> flipped = good;
+            flipped[byte] = static_cast<char>(flipped[byte] ^ (1 << bit));
+            expectRefusedOrInBounds(flipped,
+                                    "header byte " + std::to_string(byte)
+                                        + " bit " + std::to_string(bit));
+        }
+    }
+
+    std::remove(testCachePath);
+}
+
+// Saving to the path of a live mapping must not truncate the mapped
+// file under it: the old mapping keeps serving what it mapped, and a
+// new mapping sees the new file.
+TEST(EvalCacheV3, SaveOverLiveMappingKeepsItReadable)
+{
+    engine::EvalCache big = syntheticCache(1000);
+    ASSERT_EQ(big.save(testCachePath, 7), 1000u);
+    auto mapped = engine::MappedEvalFile::open(testCachePath, 7);
+    ASSERT_NE(mapped, nullptr);
+
+    engine::EvalCache small(1);
+    small.insert(engine::EvalKey{1, 1}, engine::EvalValue{2.0, 3.0});
+    ASSERT_EQ(small.save(testCachePath, 7), 1u);
+
+    for (const auto &[key, value] : big.entries()) {
+        engine::EvalValue out;
+        ASSERT_TRUE(mapped->lookup(key, out));
+        EXPECT_EQ(out.cost, value.cost);
+        EXPECT_EQ(out.simCpi, value.simCpi);
+    }
+    auto fresh = engine::MappedEvalFile::open(testCachePath, 7);
+    ASSERT_NE(fresh, nullptr);
+    EXPECT_EQ(fresh->size(), 1u);
+    // The temporary the save wrote aside was renamed away.
+    EXPECT_NE(access((std::string(testCachePath) + ".tmp").c_str(), F_OK),
+              0);
 
     std::remove(testCachePath);
 }

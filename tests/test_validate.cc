@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <set>
 #include <string>
 
+#include "common/log.hh"
 #include "common/rng.hh"
 #include "ubench/ubench.hh"
 #include "validate/flow.hh"
@@ -191,6 +193,88 @@ TEST(Flow, TuningImprovesOnPublicInfo)
     EXPECT_EQ(report.untunedUbench.size(), 40u);
     EXPECT_EQ(report.tunedUbench.size(), 40u);
     EXPECT_LE(report.race.experimentsUsed, 800u);
+}
+
+namespace
+{
+
+std::string
+fileBytes(const std::string &path)
+{
+    std::string bytes;
+    std::FILE *file = std::fopen(path.c_str(), "rb");
+    EXPECT_NE(file, nullptr);
+    if (!file)
+        return bytes;
+    char buf[4096];
+    size_t got;
+    while ((got = std::fread(buf, 1, sizeof(buf), file)) > 0)
+        bytes.append(buf, got);
+    std::fclose(file);
+    return bytes;
+}
+
+} // namespace
+
+// A flow with evalCachePath saves what it evaluated when destroyed; a
+// second flow on the same path maps that file and replays the race
+// without a single fresh simulation.
+TEST(Flow, WarmStartReplaysTheRaceWithoutSimulating)
+{
+    std::string path = ::testing::TempDir() + "/flow-warm.bin";
+    std::remove(path.c_str());
+    FlowOptions opts;
+    opts.budget = 800;
+    opts.threads = 2;
+    opts.evalCachePath = path;
+
+    tuner::RaceResult cold_race;
+    {
+        ValidationFlow cold(false, opts);
+        FlowReport report = cold.run();
+        cold_race = report.race;
+        EXPECT_GT(report.engineStats.evaluations, 0u);
+    }
+
+    ValidationFlow warm(false, opts);
+    ASSERT_NE(warm.engine().warmFile(), nullptr);
+    FlowReport report = warm.run();
+    EXPECT_EQ(report.engineStats.evaluations, 0u);
+    EXPECT_GT(report.engineStats.warmFileHits, 0u);
+    EXPECT_TRUE(report.race.best == cold_race.best);
+    EXPECT_EQ(report.race.bestMeanCost, cold_race.bestMeanCost);
+    EXPECT_EQ(report.race.bestCosts, cold_race.bestCosts);
+    EXPECT_EQ(report.race.experimentsUsed, cold_race.experimentsUsed);
+    EXPECT_EQ(report.race.iterations, cold_race.iterations);
+    EXPECT_EQ(report.race.elites, cold_race.elites);
+    std::remove(path.c_str());
+}
+
+// A file at evalCachePath that does not map (here: foreign magic) is
+// left byte-identical: the flow warns and never saves over it.
+TEST(Flow, NeverOverwritesAnUnmappableCacheFile)
+{
+    std::string path = ::testing::TempDir() + "/flow-foreign.bin";
+    std::string foreign = "NOTACACHE: someone else's file, 40 bytes";
+    {
+        std::FILE *file = std::fopen(path.c_str(), "wb");
+        ASSERT_NE(file, nullptr);
+        std::fputs(foreign.c_str(), file);
+        std::fclose(file);
+    }
+    FlowOptions opts;
+    opts.threads = 2;
+    opts.evalCachePath = path;
+    setQuiet(true);
+    {
+        ValidationFlow flow(false, opts);
+        EXPECT_EQ(flow.engine().warmFile(), nullptr);
+        EXPECT_GT(flow.ubenchError(core::publicInfoA53(), nullptr, 8),
+                  0.0);
+    }
+    setQuiet(false);
+    EXPECT_EQ(fileBytes(path), foreign);
+    std::remove(path.c_str());
 }
 
 TEST(Perturb, WorstNeighborIsWorse)
