@@ -383,6 +383,48 @@ beginTelemetry()
     }
 }
 
+/** @return the value after flag argv[i] (advancing i), or exit 2 with
+ *  "<flag> needs a <what>" when it is missing. */
+inline const char *
+flagValue(int argc, char **argv, int &i, const char *what)
+{
+    if (i + 1 >= argc) {
+        std::fprintf(stderr, "%s: %s needs a %s\n", argv[0], argv[i],
+                     what);
+        std::exit(2);
+    }
+    return argv[++i];
+}
+
+/**
+ * Consume argv[i] when it is one of the flags both parsers share:
+ * --list, --json, --trace, --profile, --strategy, --target.
+ *
+ * @return false when argv[i] is not a shared flag.
+ */
+inline bool
+parseSharedFlag(int argc, char **argv, int &i)
+{
+    const std::string arg = argv[i];
+    if (arg == "--list") {
+        printList();
+        std::exit(0);
+    } else if (arg == "--json") {
+        jsonPath() = flagValue(argc, argv, i, "path");
+    } else if (arg == "--trace") {
+        tracePath() = flagValue(argc, argv, i, "path");
+    } else if (arg == "--profile") {
+        obs::setStepProfiling(true);
+    } else if (arg == "--strategy") {
+        setStrategyArg(argv[0], flagValue(argc, argv, i, "name"));
+    } else if (arg == "--target") {
+        setTargetArg(argv[0], flagValue(argc, argv, i, "board"));
+    } else {
+        return false;
+    }
+    return true;
+}
+
 /**
  * Parse the standard driver command line. Every bench accepts
  * --help/-h (print usage, exit 0), --smoke (tiny budgets for CI) and
@@ -429,49 +471,11 @@ parseDriverArgs(int argc, char **argv, const char *what)
                         "(debug|info|warn|error|quiet)\n", argv[0],
                         what);
             std::exit(0);
-        } else if (arg == "--list") {
-            printList();
-            std::exit(0);
         } else if (arg == "--smoke") {
             smokeMode() = true;
-        } else if (arg == "--json") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: --json needs a path\n",
-                             argv[0]);
-                std::exit(2);
-            }
-            jsonPath() = argv[++i];
-        } else if (arg == "--trace") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: --trace needs a path\n",
-                             argv[0]);
-                std::exit(2);
-            }
-            tracePath() = argv[++i];
-        } else if (arg == "--profile") {
-            obs::setStepProfiling(true);
-        } else if (arg == "--strategy") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: --strategy needs a name\n",
-                             argv[0]);
-                std::exit(2);
-            }
-            setStrategyArg(argv[0], argv[++i]);
-        } else if (arg == "--target") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: --target needs a board\n",
-                             argv[0]);
-                std::exit(2);
-            }
-            setTargetArg(argv[0], argv[++i]);
         } else if (arg == "--suite") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: --suite needs a name\n",
-                             argv[0]);
-                std::exit(2);
-            }
-            setSuiteArg(argv[0], argv[++i]);
-        } else {
+            setSuiteArg(argv[0], flagValue(argc, argv, i, "name"));
+        } else if (!parseSharedFlag(argc, argv, i)) {
             std::fprintf(stderr, "%s: unknown argument '%s' "
                          "(try --help)\n", argv[0], arg.c_str());
             std::exit(2);
@@ -501,43 +505,10 @@ parseGbenchArgs(int &argc, char **argv, const char *what)
                         "[--target <board>] [--benchmark_* flags]"
                         "\n\n%s\n", argv[0], what);
             std::exit(0);
-        } else if (arg == "--list") {
-            printList();
-            std::exit(0);
         } else if (arg == "--smoke") {
             smokeMode() = true;
             argv[out++] = min_time;
-        } else if (arg == "--json") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: --json needs a path\n",
-                             argv[0]);
-                std::exit(2);
-            }
-            jsonPath() = argv[++i];
-        } else if (arg == "--trace") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: --trace needs a path\n",
-                             argv[0]);
-                std::exit(2);
-            }
-            tracePath() = argv[++i];
-        } else if (arg == "--profile") {
-            obs::setStepProfiling(true);
-        } else if (arg == "--strategy") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: --strategy needs a name\n",
-                             argv[0]);
-                std::exit(2);
-            }
-            setStrategyArg(argv[0], argv[++i]);
-        } else if (arg == "--target") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: --target needs a board\n",
-                             argv[0]);
-                std::exit(2);
-            }
-            setTargetArg(argv[0], argv[++i]);
-        } else {
+        } else if (!parseSharedFlag(argc, argv, i)) {
             argv[out++] = argv[i];
         }
     }

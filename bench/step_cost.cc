@@ -8,7 +8,9 @@
  *
  *   - ns/inst of the library step (modulo-free cursors; interval also
  *     its classify-once ALU fast path) for every family x {ALU-heavy,
- *     memory, branchy} workload, interleaved min-of-N;
+ *     memory, branchy} workload, interleaved min-of-N passes, each
+ *     timed on this thread's CPU clock so other tenants' preemption
+ *     does not land inside a pass;
  *   - an A-B against a bench-local frozen copy of the pre-flattening
  *     OoO step (per-instruction OpClass tests + `seq % ring.size()`
  *     indexing everywhere), the family with the most modulo sites.
@@ -23,11 +25,13 @@
  *     ns/inst column.
  *
  * Feeds the perf_step_guard ctest entry via --json: step_speedup
- * (geomean of the OoO A-B across workload classes) and
- * step_bit_identical.
+ * (geomean over workload classes of the OoO A-B, each class the median
+ * of its per-rep baseline/library ratios) and step_bit_identical.
  */
 
-#include <chrono>
+#include <time.h>
+
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -341,12 +345,15 @@ statsEqual(const core::CoreStats &a, const core::CoreStats &b)
         && a.l2Misses == b.l2Misses && a.dramReads == b.dramReads;
 }
 
+/** @return this thread's CPU time in seconds: a pass is charged only
+ *  for the time it ran, not for time other processes held the core. */
 double
-nowSeconds()
+threadCpuSeconds()
 {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec)
+        + static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
 /** Time one full pass; @return ns per instruction. */
@@ -354,9 +361,9 @@ template <class Fn>
 double
 timedNsPerInst(uint64_t insts, Fn &&pass)
 {
-    double t0 = nowSeconds();
+    double t0 = threadCpuSeconds();
     pass();
-    double t1 = nowSeconds();
+    double t1 = threadCpuSeconds();
     return insts ? (t1 - t0) * 1e9 / static_cast<double>(insts) : 0.0;
 }
 
@@ -385,6 +392,9 @@ struct Row
     double ns = 0.0;
     double genericNs = 0.0;  //!< interval only (0 elsewhere)
     double baselineNs = 0.0; //!< OoO only (0 elsewhere)
+    /** OoO only: median over reps of baseline pass / library pass, the
+     *  two passes of a rep run back to back. */
+    double speedup = 0.0;
     bool identical = true;
 };
 
@@ -392,7 +402,8 @@ struct Row
  * Measure one family over one trace: interleaved min-of-N of the
  * library step and, where they exist, interval's generic body and the
  * frozen OoO step (@p baseline), so scheduler drift hits all sides of
- * the A-B equally.
+ * the A-B equally. The A-B speedup is the median of the per-rep
+ * ratios, so one disturbed pass moves one ratio, not the result.
  */
 template <class Model>
 Row
@@ -406,25 +417,33 @@ measureFamily(const core::CoreParams &params,
     uint64_t insts = trace.instCount();
     Row row;
     core::CoreStats stats, generic_stats, baseline_stats;
+    std::vector<double> ratios;
     for (int rep = 0; rep < reps; ++rep) {
-        double ns = timedNsPerInst(
+        double library_ns = timedNsPerInst(
             insts, [&] { stats = runStep(model, trace); });
-        if (rep == 0 || ns < row.ns)
-            row.ns = ns;
+        if (rep == 0 || library_ns < row.ns)
+            row.ns = library_ns;
         if constexpr (has_generic) {
-            ns = timedNsPerInst(insts, [&] {
+            double ns = timedNsPerInst(insts, [&] {
                 generic_stats = runGeneric(model, trace);
             });
             if (rep == 0 || ns < row.genericNs)
                 row.genericNs = ns;
         }
         if (baseline) {
-            ns = timedNsPerInst(insts, [&] {
+            double ns = timedNsPerInst(insts, [&] {
                 baseline_stats = baseline->run(trace);
             });
             if (rep == 0 || ns < row.baselineNs)
                 row.baselineNs = ns;
+            if (library_ns > 0.0)
+                ratios.push_back(ns / library_ns);
         }
+    }
+    if (!ratios.empty()) {
+        auto mid = ratios.begin() + static_cast<long>(ratios.size() / 2);
+        std::nth_element(ratios.begin(), mid, ratios.end());
+        row.speedup = *mid;
     }
     row.identical = (!has_generic || statsEqual(stats, generic_stats))
         && (!baseline || statsEqual(stats, baseline_stats));
@@ -444,13 +463,14 @@ main(int argc, char **argv)
         "frozen pre-flattening OoO baseline A-B and interval's "
         "fast-vs-generic bit-identity check.");
     setQuiet(true);
-    bench::header("Per-instruction step cost (ns/inst, min of N "
-                  "interleaved passes)");
+    bench::header("Per-instruction step cost (ns/inst of thread CPU "
+                  "time, min of N interleaved passes; speedup = median "
+                  "of per-pass ratios)");
 
     const uint64_t insts = bench::smokeScaled<uint64_t>(1'000'000,
                                                         100'000);
-    // A smoke pass is ~2 ms, so one timer tick or preemption can
-    // swamp a pass: take the full min-of-7 there too.
+    // A smoke pass is ~2 ms, so one cache-cold or disturbed pass can
+    // swamp it: take the full 7 reps there too.
     const int reps = 7;
 
     core::CoreParams inorder_params = core::publicInfoA53();
@@ -497,8 +517,7 @@ main(int argc, char **argv)
         for (const FamilyRun &fr : runs) {
             bool has_generic = fr.row.genericNs > 0.0;
             bool has_baseline = fr.row.baselineNs > 0.0;
-            double speedup = has_baseline && fr.row.ns > 0.0
-                ? fr.row.baselineNs / fr.row.ns : 0.0;
+            double speedup = fr.row.speedup;
             char generic_col[32] = "-", baseline_col[32] = "-",
                  speedup_col[32] = "-";
             if (has_generic)

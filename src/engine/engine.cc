@@ -30,15 +30,11 @@ EngineStats::summary() const
     std::string out;
     out += strprintf(
         "engine: %llu instances, %llu recorded (%llu insts; "
-        "%llu resident / %llu spilled; "
-        "%.1f MiB packed, %.1f MiB sift)\n",
+        "%.1f MiB packed)\n",
         static_cast<unsigned long long>(bank.instances),
         static_cast<unsigned long long>(bank.recordings),
         static_cast<unsigned long long>(bank.recordedInsts),
-        static_cast<unsigned long long>(bank.residentTraces),
-        static_cast<unsigned long long>(bank.spilledTraces),
-        static_cast<double>(bank.residentBytes) / (1024.0 * 1024.0),
-        static_cast<double>(bank.encodedBytes) / (1024.0 * 1024.0));
+        static_cast<double>(bank.residentBytes) / (1024.0 * 1024.0));
     out += strprintf(
         "        cache: %llu hits / %llu misses (%.1f%% hit rate), "
         "%llu entries\n",
@@ -75,8 +71,6 @@ EngineStats::json() const
         .field("instances", bank.instances)
         .field("recordings", bank.recordings)
         .field("recorded_insts", bank.recordedInsts)
-        .field("resident_traces", bank.residentTraces)
-        .field("spilled_traces", bank.spilledTraces)
         .field("packed_bytes", bank.residentBytes)
         .field("replays", bank.replays)
         .field("cache_hits", cache.hits)
@@ -106,8 +100,6 @@ EngineStats::samples() const
         {"instances", n(bank.instances)},
         {"recordings", n(bank.recordings)},
         {"recorded_insts", n(bank.recordedInsts)},
-        {"resident_traces", n(bank.residentTraces)},
-        {"spilled_traces", n(bank.spilledTraces)},
         {"resident_bytes", n(bank.residentBytes)},
         {"replays", n(bank.replays)},
         {"cache_hits", n(cache.hits)},
@@ -131,8 +123,7 @@ EngineStats::samples() const
 // ------------------------------------------------------------ EvalEngine
 
 EvalEngine::EvalEngine(core::ModelFamily family, EngineOptions options)
-    : fam(family),
-      bank(options.memoryResidentMaxInsts), pool(options.threads)
+    : fam(family), pool(options.threads)
 {
     // Export this engine's aggregate stats through the registry; the
     // heartbeat reporter and the metrics blobs pull them at snapshot
@@ -186,12 +177,9 @@ EvalEngine::replayRun(core::ModelFamily family,
                       const core::CoreParams &model, size_t instance)
 {
     // The hot path: replay the packed SoA form through the templated
-    // segment loop. Spilled traces fall back to the sift cursor.
-    TraceBank::Replay trace = bank.replay(instance);
-    std::unique_ptr<core::TimingModel> timing =
-        core::makeTimingModel(family, model);
-    return trace.packed ? timing->run(*trace.packed)
-                        : timing->run(*trace.spilled);
+    // segment loop.
+    std::shared_ptr<const vm::PackedTrace> trace = bank.replay(instance);
+    return core::makeTimingModel(family, model)->run(*trace);
 }
 
 uint64_t

@@ -50,8 +50,6 @@ struct EngineOptions
 {
     /** Worker threads for batch evaluation (0 = hardware). */
     unsigned threads = 0;
-    /** Traces above this instruction count stay sift-encoded only. */
-    uint64_t memoryResidentMaxInsts = 1ull << 20;
 };
 
 /** Aggregate engine report, surfaced by the drivers. */

@@ -9,11 +9,6 @@
 namespace raceval::engine
 {
 
-TraceBank::TraceBank(uint64_t memory_resident_max_insts)
-    : maxResidentInsts(memory_resident_max_insts)
-{
-}
-
 size_t
 TraceBank::add(const isa::Program &program)
 {
@@ -57,43 +52,27 @@ TraceBank::entryFor(size_t id)
 void
 TraceBank::record(Entry &entry)
 {
-    // call_once publishes trace and packedTrace to every caller, so
-    // they are read without the bank mutex once record() returns.
+    // call_once publishes the trace to every caller, so it is read
+    // without the bank mutex once record() returns.
     std::call_once(entry.recordOnce, [&] {
         RV_SPAN("bank.record");
         vm::FunctionalCore live(entry.program);
-        entry.trace = std::make_shared<const sift::SiftTrace>(
-            sift::encodeTrace(entry.program, live));
+        entry.trace = std::make_shared<const vm::PackedTrace>(
+            vm::PackedTrace::build(entry.program, live));
         uint64_t insts = entry.trace->instCount();
-        // Residency is decided here, once: small traces are packed,
-        // large ones replay from their sift bytes for good.
-        if (insts <= maxResidentInsts) {
-            sift::SiftCursor cursor(entry.trace);
-            entry.packedTrace = std::make_shared<const vm::PackedTrace>(
-                vm::PackedTrace::build(entry.trace->program(), cursor));
-        }
         {
             std::lock_guard<std::mutex> lock(mutex);
             ++counters.recordings;
             counters.recordedInsts += insts;
-            counters.encodedBytes += entry.trace->encodedBytes();
-            if (entry.packedTrace) {
-                ++counters.residentTraces;
-                counters.residentBytes += entry.packedTrace->packedBytes();
-                RV_GAUGE_SET("bank.resident_bytes",
-                             static_cast<int64_t>(counters.residentBytes));
-            } else {
-                ++counters.spilledTraces;
-            }
+            counters.residentBytes += entry.trace->packedBytes();
+            RV_GAUGE_SET("bank.resident_bytes",
+                         static_cast<int64_t>(counters.residentBytes));
         }
-        if (entry.packedTrace)
-            RV_INSTANT("bank.admit", insts);
-        else
-            RV_INSTANT("bank.spill", insts);
+        RV_INSTANT("bank.admit", insts);
     });
 }
 
-TraceBank::Replay
+std::shared_ptr<const vm::PackedTrace>
 TraceBank::replay(size_t id)
 {
     Entry &entry = entryFor(id);
@@ -102,20 +81,13 @@ TraceBank::replay(size_t id)
         std::lock_guard<std::mutex> lock(mutex);
         ++counters.replays;
     }
-    Replay out;
-    out.packed = entry.packedTrace;
-    if (!out.packed)
-        out.spilled = std::make_unique<sift::SiftCursor>(entry.trace);
-    return out;
+    return entry.trace;
 }
 
 std::unique_ptr<vm::TraceSource>
 TraceBank::open(size_t id)
 {
-    Replay r = replay(id);
-    if (r.packed)
-        return std::make_unique<vm::PackedCursor>(std::move(r.packed));
-    return std::move(r.spilled);
+    return std::make_unique<vm::PackedCursor>(replay(id));
 }
 
 uint64_t

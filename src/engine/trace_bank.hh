@@ -5,12 +5,10 @@
  * Every benchmark instance registered with the bank is functionally
  * executed exactly once; the resulting dynamic instruction stream is
  * memoized and every subsequent evaluation is a pure trace replay into
- * a timing model. Residency is decided once, at record time: a trace
- * at or below the per-trace threshold keeps a packed
- * structure-of-arrays form (vm::PackedTrace -- decoded once, replayed
- * through the zero-virtual-call PackedStream); a larger trace keeps
- * only its compact sift encoding and replays through a SiftCursor
- * (the spill path).
+ * a timing model. The functional core is recorded straight into the
+ * packed structure-of-arrays form (vm::PackedTrace -- decoded once,
+ * replayed through the zero-virtual-call PackedStream); that is the
+ * only form the bank keeps.
  */
 
 #ifndef RACEVAL_ENGINE_TRACE_BANK_HH
@@ -22,7 +20,6 @@
 #include <vector>
 
 #include "isa/program.hh"
-#include "sift/sift.hh"
 #include "vm/packed_trace.hh"
 #include "vm/trace.hh"
 
@@ -36,10 +33,13 @@ struct TraceBankStats
     uint64_t recordings = 0;    //!< functional executions performed
     uint64_t replays = 0;       //!< replays served (one per run)
     uint64_t recordedInsts = 0; //!< dynamic instructions recorded
-    uint64_t residentTraces = 0; //!< traces with a packed in-memory form
-    uint64_t spilledTraces = 0; //!< traces kept as sift bytes only
     uint64_t residentBytes = 0; //!< memory held by packed replay arrays
-    uint64_t encodedBytes = 0;  //!< memory held by sift encodings
+    /** Always 0: every trace is packed. Kept only because perfbench
+     *  (perfbench/src/main.cc) still reads it. */
+    uint64_t spilledTraces = 0;
+    /** Always 0: no sift encoding is kept. Kept only because perfbench
+     *  (perfbench/src/main.cc) still reads it. */
+    uint64_t encodedBytes = 0;
 };
 
 /**
@@ -52,14 +52,6 @@ struct TraceBankStats
 class TraceBank
 {
   public:
-    /**
-     * @param memory_resident_max_insts traces at or below this dynamic
-     *        instruction count get a packed in-memory form; larger
-     *        traces replay from their sift encoding only (the spill
-     *        path).
-     */
-    explicit TraceBank(uint64_t memory_resident_max_insts = 1ull << 20);
-
     /**
      * Register a program as a benchmark instance.
      *
@@ -77,29 +69,17 @@ class TraceBank
     /** @return the program behind an instance. */
     const isa::Program &program(size_t id) const;
 
-    /** What one replay of an instance runs over: exactly one member
-     *  is set. */
-    struct Replay
-    {
-        /** The resident packed form (the hot path). */
-        std::shared_ptr<const vm::PackedTrace> packed;
-        /** A cursor over the sift encoding, when the trace is spilled. */
-        std::unique_ptr<vm::TraceSource> spilled;
-    };
-
     /**
-     * Acquire one replay of an instance's recorded trace -- the replay
-     * hot path: the packed form when resident, else a sift cursor.
-     * Records on first use. Counts one replay.
+     * Acquire one replay of an instance's packed trace -- the replay
+     * hot path. Records on first use. Counts one replay.
      */
-    Replay replay(size_t id);
+    std::shared_ptr<const vm::PackedTrace> replay(size_t id);
 
     /**
      * Open a replay handle over an instance's recorded trace.
      *
-     * Records the trace on first use (functional execution + sift
-     * encoding). The returned source replays a stream byte-identical
-     * to live functional execution.
+     * Records the trace on first use. The returned source replays a
+     * stream byte-identical to live functional execution.
      */
     std::unique_ptr<vm::TraceSource> open(size_t id);
 
@@ -114,16 +94,11 @@ class TraceBank
         isa::Program program;
         std::once_flag recordOnce;
         /** Set once by record(); read-only afterwards. */
-        std::shared_ptr<const sift::SiftTrace> trace;
-        /** Packed replay form; null for spilled (sift-replayed) traces.
-         *  Set once by record(); read-only afterwards. */
-        std::shared_ptr<const vm::PackedTrace> packedTrace;
+        std::shared_ptr<const vm::PackedTrace> trace;
     };
 
     Entry &entryFor(size_t id);
     void record(Entry &entry);
-
-    uint64_t maxResidentInsts;
 
     mutable std::mutex mutex;
     std::vector<std::unique_ptr<Entry>> entries;

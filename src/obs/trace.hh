@@ -23,7 +23,7 @@
  * spans: race.run / race.iteration / race.step, engine.batch /
  * engine.eval, replay.pass (one per packed replay), bank.record,
  * cache.save / cache.map, campaign.task / campaign.checkpoint;
- * instants: bank.spill / bank.admit / heartbeat.tick.
+ * instants: bank.admit / heartbeat.tick.
  *
  * -DRACEVAL_DISABLE_OBS compiles RV_SPAN / RV_INSTANT to nothing.
  */

@@ -67,17 +67,17 @@ encodeTrace(const isa::Program &prog, vm::TraceSource &source)
     vm::DynInst dyn;
     while (source.next(dyn)) {
         ++count;
+        // Deltas wrap modulo 2^64 on both sides of the format, so no
+        // address pair can overflow a signed subtraction.
         if (dyn.inst.isLoad || dyn.inst.isStore) {
-            int64_t delta = static_cast<int64_t>(dyn.memAddr)
-                - static_cast<int64_t>(prev_mem_addr);
-            putVarint(events, zigzagEncode(delta));
+            putVarint(events, zigzagEncode(static_cast<int64_t>(
+                                  dyn.memAddr - prev_mem_addr)));
             prev_mem_addr = dyn.memAddr;
         } else if (dyn.inst.isBranch) {
             events.push_back(dyn.taken ? 1 : 0);
             if (dyn.taken) {
-                int64_t delta = (static_cast<int64_t>(dyn.nextPc)
-                                 - static_cast<int64_t>(dyn.pc)) / 4;
-                putVarint(events, zigzagEncode(delta));
+                putVarint(events, zigzagEncode(static_cast<int64_t>(
+                                      dyn.nextPc - dyn.pc) / 4));
             }
         }
     }
@@ -134,8 +134,7 @@ readFile(const std::string &path)
     return bytes;
 }
 
-SiftTrace::SiftTrace(std::vector<uint8_t> buffer,
-                     isa::DecoderOptions decoder_options)
+SiftReader::SiftReader(std::vector<uint8_t> buffer)
     : bytes(std::move(buffer))
 {
     RV_ASSERT(bytes.size() >= sizeof(magic)
@@ -145,10 +144,9 @@ SiftTrace::SiftTrace(std::vector<uint8_t> buffer,
 
     uint64_t name_len = getVarint(bytes, pos);
     RV_ASSERT(name_len <= bytes.size() - pos, "sift: truncated name");
-    progName.assign(reinterpret_cast<const char *>(bytes.data() + pos),
-                    name_len);
+    prog.name.assign(reinterpret_cast<const char *>(bytes.data() + pos),
+                     name_len);
     pos += name_len;
-    prog.name = progName;
 
     prog.codeBase = getVarint(bytes, pos);
     uint64_t code_words = getVarint(bytes, pos);
@@ -176,83 +174,67 @@ SiftTrace::SiftTrace(std::vector<uint8_t> buffer,
     totalInsts = getVarint(bytes, pos);
     eventStart = pos;
 
-    isa::Decoder decoder(decoder_options);
+    isa::Decoder decoder;
     decoded.resize(prog.code.size());
     for (size_t i = 0; i < prog.code.size(); ++i) {
         if (!decoder.decode(prog.code[i], decoded[i]))
             fatal("sift: undecodable word 0x%08x in trace '%s'",
-                  prog.code[i], progName.c_str());
+                  prog.code[i], prog.name.c_str());
     }
-}
-
-SiftCursor::SiftCursor(std::shared_ptr<const SiftTrace> trace_)
-    : trace(std::move(trace_))
-{
-    RV_ASSERT(trace != nullptr, "sift: cursor over null trace");
     reset();
 }
 
-void
-SiftCursor::reset()
+SiftReader::SiftReader(const std::string &path)
+    : SiftReader(readFile(path))
 {
-    cursor = trace->eventStart;
+}
+
+void
+SiftReader::reset()
+{
+    cursor = eventStart;
     emitted = 0;
-    pc = trace->prog.entry();
+    pc = prog.entry();
     prevMemAddr = 0;
 }
 
 bool
-SiftCursor::next(vm::DynInst &out)
+SiftReader::next(vm::DynInst &out)
 {
-    if (emitted >= trace->totalInsts)
+    if (emitted >= totalInsts)
         return false;
 
-    uint64_t index = (pc - trace->prog.codeBase) / 4;
-    RV_ASSERT(pc >= trace->prog.codeBase && index < trace->decoded.size(),
+    uint64_t index = (pc - prog.codeBase) / 4;
+    RV_ASSERT(pc >= prog.codeBase && index < decoded.size(),
               "sift: replay pc 0x%llx out of range",
               static_cast<unsigned long long>(pc));
 
-    const isa::DecodedInst &inst = trace->decoded[index];
+    const isa::DecodedInst &inst = decoded[index];
     out.pc = pc;
     out.inst = inst;
     out.memAddr = 0;
     out.taken = false;
     out.nextPc = pc + 4;
 
+    // Deltas apply modulo 2^64 (see encodeTrace): a corrupt delta
+    // yields a wild address or pc, never signed overflow.
     if (inst.isLoad || inst.isStore) {
-        int64_t delta = zigzagDecode(getVarint(trace->bytes, cursor));
-        out.memAddr = static_cast<uint64_t>(
-            static_cast<int64_t>(prevMemAddr) + delta);
+        out.memAddr = prevMemAddr
+            + static_cast<uint64_t>(zigzagDecode(getVarint(bytes, cursor)));
         prevMemAddr = out.memAddr;
     } else if (inst.isBranch) {
-        RV_ASSERT(cursor < trace->bytes.size(),
-                  "sift: truncated branch event");
-        uint8_t taken = trace->bytes[cursor++];
-        out.taken = taken != 0;
+        RV_ASSERT(cursor < bytes.size(), "sift: truncated branch event");
+        out.taken = bytes[cursor++] != 0;
         if (out.taken) {
-            int64_t delta = zigzagDecode(getVarint(trace->bytes, cursor));
-            out.nextPc = static_cast<uint64_t>(
-                static_cast<int64_t>(pc) + 4 * delta);
+            out.nextPc = pc
+                + 4 * static_cast<uint64_t>(
+                      zigzagDecode(getVarint(bytes, cursor)));
         }
     }
 
     pc = out.nextPc;
     ++emitted;
     return true;
-}
-
-SiftReader::SiftReader(std::vector<uint8_t> buffer,
-                       isa::DecoderOptions decoder_options)
-    : trace(std::make_shared<const SiftTrace>(std::move(buffer),
-                                              decoder_options)),
-      cursor(trace)
-{
-}
-
-SiftReader::SiftReader(const std::string &path,
-                       isa::DecoderOptions decoder_options)
-    : SiftReader(readFile(path), decoder_options)
-{
 }
 
 } // namespace raceval::sift

@@ -22,18 +22,15 @@
  *                 (target - pc) / 4
  *     other:      nothing
  *
- * The parsed form is split into an immutable, shareable SiftTrace
- * (bytes + embedded program + static decode, parsed once) and
- * lightweight SiftCursor replay handles, so many concurrent timing
- * runs can replay one recording without re-parsing or copying it --
- * the backbone of the engine's TraceBank.
+ * Inside the simulator the TraceBank records straight into the packed
+ * form (vm::PackedTrace); sift is the on-disk interchange format, read
+ * back by SiftReader.
  */
 
 #ifndef RACEVAL_SIFT_SIFT_HH
 #define RACEVAL_SIFT_SIFT_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -64,104 +61,41 @@ void writeTrace(const std::string &path, const isa::Program &prog,
 std::vector<uint8_t> readFile(const std::string &path);
 
 /**
- * An immutable parsed trace: the encoded bytes plus the embedded
- * program re-decoded once.
+ * Replays a recorded trace as a TraceSource.
  *
- * SiftTrace is safe to share across threads behind a shared_ptr; every
- * replay goes through its own SiftCursor, which carries all mutable
- * replay state. The trace re-decodes the embedded program with its own
- * Decoder, so decoder fault injection can be applied at replay time --
- * just like Sniper's back-end re-decoding SIFT input through Capstone.
+ * Parses the header once and re-decodes the embedded program with its
+ * own Decoder -- just like Sniper's back-end re-decoding SIFT input
+ * through Capstone. Corrupt input ends in a "sift:" panic, never in
+ * undefined behaviour.
  */
-class SiftTrace
+class SiftReader final : public vm::TraceSource
 {
   public:
-    /** Parse encoded bytes (takes ownership of the buffer). */
-    explicit SiftTrace(std::vector<uint8_t> buffer,
-                       isa::DecoderOptions decoder_options = {});
+    /** Construct from encoded bytes (takes ownership of the buffer). */
+    explicit SiftReader(std::vector<uint8_t> buffer);
 
-    const std::string &name() const { return progName; }
-    const isa::Program &program() const { return prog; }
+    /** Construct by reading a trace file. */
+    explicit SiftReader(const std::string &path);
+
+    bool next(vm::DynInst &out) override;
+    void reset() override;
+    const std::string &name() const override { return prog.name; }
+    const isa::Program *program() const override { return &prog; }
 
     /** @return total instructions in the trace. */
     uint64_t instCount() const { return totalInsts; }
 
-    /** @return size of the encoded representation. */
-    size_t encodedBytes() const { return bytes.size(); }
-
-    /** @return static decode of instruction word i. */
-    const isa::DecodedInst &decodedAt(size_t i) const { return decoded[i]; }
-
   private:
-    friend class SiftCursor;
-
     std::vector<uint8_t> bytes;
-    std::string progName;
     isa::Program prog;
     std::vector<isa::DecodedInst> decoded;
     uint64_t totalInsts = 0;
     size_t eventStart = 0; //!< byte offset of the event stream
-};
 
-/**
- * One replay of a shared SiftTrace as a TraceSource.
- *
- * Cursors are cheap (a shared_ptr plus a few counters); open as many
- * as you have concurrent timing runs.
- */
-class SiftCursor final : public vm::TraceSource
-{
-  public:
-    explicit SiftCursor(std::shared_ptr<const SiftTrace> trace);
-
-    bool next(vm::DynInst &out) override;
-    void reset() override;
-    const std::string &name() const override { return trace->name(); }
-    const isa::Program *program() const override
-    {
-        return &trace->program();
-    }
-
-  private:
-    std::shared_ptr<const SiftTrace> trace;
     size_t cursor = 0;    //!< current byte offset in the event stream
     uint64_t emitted = 0; //!< instructions emitted so far
     uint64_t pc = 0;
     uint64_t prevMemAddr = 0;
-};
-
-/**
- * Replays a recorded trace as a TraceSource.
- *
- * Convenience wrapper owning a single-reader SiftTrace + SiftCursor
- * pair; use SiftTrace/SiftCursor directly to share one parsed trace
- * between many replays.
- */
-class SiftReader : public vm::TraceSource
-{
-  public:
-    /** Construct from encoded bytes (takes ownership of the buffer). */
-    explicit SiftReader(std::vector<uint8_t> buffer,
-                        isa::DecoderOptions decoder_options = {});
-
-    /** Construct by reading a trace file. */
-    explicit SiftReader(const std::string &path,
-                        isa::DecoderOptions decoder_options = {});
-
-    bool next(vm::DynInst &out) override { return cursor.next(out); }
-    void reset() override { cursor.reset(); }
-    const std::string &name() const override { return trace->name(); }
-    const isa::Program *program() const override
-    {
-        return &trace->program();
-    }
-
-    /** @return total instructions in the trace. */
-    uint64_t instCount() const { return trace->instCount(); }
-
-  private:
-    std::shared_ptr<const SiftTrace> trace;
-    SiftCursor cursor;
 };
 
 } // namespace raceval::sift

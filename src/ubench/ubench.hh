@@ -56,9 +56,8 @@ struct UbenchInfo
  * Scale a Table I count into tuning-friendly range: halve until
  * <= cap (relative ordering is preserved as far as possible). The
  * default cap matches the Table I tuning suite; long-loop firmware
- * workloads pass a larger cap so traces stay >= 1 M instructions and
- * exercise the TraceBank spill path instead of being silently halved
- * below it.
+ * workloads pass a larger cap so traces stay >= 1 M instructions
+ * instead of being silently halved below it.
  */
 uint64_t scaledCount(uint64_t paper_count, uint64_t cap = 260'000);
 

@@ -27,13 +27,12 @@ requireTrace(const std::shared_ptr<const PackedTrace> &trace)
 } // namespace
 
 PackedTrace
-PackedTrace::build(const isa::Program &prog, vm::TraceSource &source,
-                   isa::DecoderOptions decoder_options)
+PackedTrace::build(const isa::Program &prog, vm::TraceSource &source)
 {
     PackedTrace out;
     out.prog = prog;
 
-    isa::Decoder decoder(decoder_options);
+    isa::Decoder decoder;
     out.decoded.resize(prog.code.size());
     out.statics.resize(prog.code.size());
     for (size_t i = 0; i < prog.code.size(); ++i) {
@@ -62,9 +61,9 @@ PackedTrace::build(const isa::Program &prog, vm::TraceSource &source,
     uint64_t branches = 0;
     while (source.next(dyn)) {
         ++out.count;
+        // Deltas wrap modulo 2^64, as PackedStream re-applies them.
         if (dyn.inst.isLoad || dyn.inst.isStore) {
-            int64_t delta = static_cast<int64_t>(dyn.memAddr)
-                - static_cast<int64_t>(prev_mem);
+            int64_t delta = static_cast<int64_t>(dyn.memAddr - prev_mem);
             if (fitsNarrow(delta)) {
                 out.memDelta.push_back(static_cast<int32_t>(delta));
             } else {
@@ -77,9 +76,8 @@ PackedTrace::build(const isa::Program &prog, vm::TraceSource &source,
                 out.takenBits.push_back(0);
             if (dyn.taken) {
                 out.takenBits.back() |= uint64_t{1} << (branches & 63);
-                int64_t delta = (static_cast<int64_t>(dyn.nextPc)
-                                 - static_cast<int64_t>(dyn.pc))
-                    / 4;
+                int64_t delta =
+                    static_cast<int64_t>(dyn.nextPc - dyn.pc) / 4;
                 if (fitsNarrow(delta)) {
                     out.targetDelta.push_back(
                         static_cast<int32_t>(delta));
@@ -122,7 +120,7 @@ PackedCursor::next(DynInst &out)
         return false;
     out.pc = stream.pc();
     out.inst = t->decodedAt(stream.staticIndex());
-    // Mirror SiftCursor's defaults for fields the event does not carry,
+    // Mirror SiftReader's defaults for fields the event does not carry,
     // so cursor replay is bit-identical field-for-field.
     bool is_mem = out.inst.isLoad || out.inst.isStore;
     out.memAddr = is_mem ? stream.memAddr() : 0;

@@ -4,9 +4,10 @@
  * path's working set.
  *
  * A sift recording interleaves varint-compressed events with static
- * decode lookups, so every replay pays decode + varint cost per
- * instruction. A PackedTrace is built once per recording and splits the
- * trace into cache-friendly parallel arrays:
+ * decode lookups, so every replay of it would pay decode + varint cost
+ * per instruction. A PackedTrace is built once per recording, straight
+ * from the functional core, and splits the trace into cache-friendly
+ * parallel arrays:
  *
  *   - an 8-byte PackedStatic row per static instruction (opcode class,
  *     operand indices, memory size, flags) next to the full DecodedInst
@@ -21,8 +22,8 @@
  * encodes. Replay then streams these arrays through a PackedStream --
  * the zero-virtual-call view the timing-model segment loops are
  * templated over -- or through a PackedCursor when a generic
- * vm::TraceSource is needed. Both emit streams bit-identical to the
- * SiftCursor over the same recording.
+ * vm::TraceSource is needed. Both emit streams bit-identical to a
+ * SiftReader over the same recording.
  */
 
 #ifndef RACEVAL_VM_PACKED_TRACE_HH
@@ -88,13 +89,10 @@ class PackedTrace
      * execute @p prog (event pcs index its code).
      *
      * @param prog the program behind the stream.
-     * @param source dynamic stream to pack (e.g. a SiftCursor).
-     * @param decoder_options static-decode fault injection, forwarded
-     *        to the embedded decode table.
+     * @param source dynamic stream to pack (e.g. a FunctionalCore).
      */
     static PackedTrace build(const isa::Program &prog,
-                             vm::TraceSource &source,
-                             isa::DecoderOptions decoder_options = {});
+                             vm::TraceSource &source);
 
     const std::string &name() const { return prog.name; }
     const isa::Program &program() const { return prog; }
@@ -258,7 +256,7 @@ class PackedStream
  * Adapter giving a generic vm::TraceSource the same duck-typed stream
  * interface as PackedStream, so one templated segment loop serves both
  * the packed hot path and arbitrary sources (live functional
- * execution, sift spill replay) -- which is what makes the two paths
+ * execution, sift replay) -- which is what makes the two paths
  * bit-identical by construction.
  */
 class SourceStream
@@ -289,7 +287,7 @@ class SourceStream
 /**
  * A packed trace replayed through the generic TraceSource interface
  * (for consumers that are not templated over streams). Emits DynInsts
- * bit-identical to a SiftCursor over the same recording.
+ * bit-identical to a SiftReader over the same recording.
  */
 class PackedCursor final : public TraceSource
 {

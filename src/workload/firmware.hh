@@ -8,9 +8,8 @@
  * interrupt-style dispatch loop, a software-timer wheel, and a
  * linked-list traversal. All three are built from the same assembly
  * idioms as the Table I micro-benchmarks, but run as *long* traces
- * (>= 1 M dynamic instructions after scaling) so they cross the
- * TraceBank spill threshold and exercise the sift spill path that
- * short tuning traces never touch.
+ * (> 1 Mi dynamic instructions after scaling), an order of magnitude
+ * beyond the short tuning traces.
  */
 
 #ifndef RACEVAL_WORKLOAD_FIRMWARE_HH
@@ -35,9 +34,9 @@ struct FirmwareInfo
 };
 
 /**
- * Scaling cap for firmware traces: halving stops in (cap/2, cap], and
- * cap/2 is exactly the TraceBank spill threshold (1 Mi instructions),
- * so every scaled firmware trace is guaranteed to spill. This is the
+ * Scaling cap for firmware traces: halving stops in (cap/2, cap], so
+ * every scaled firmware trace runs more than 1 Mi instructions. The
+ * sizes define the firmware workloads and their goldens. This is the
  * reason ubench::scaledCount takes the cap as a parameter.
  */
 constexpr uint64_t traceCap = 2'097'152;

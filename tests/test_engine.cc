@@ -62,24 +62,7 @@ TEST(TraceBank, ReplayIdenticalToLiveExecution)
     TraceBankStats stats = bank.stats();
     EXPECT_EQ(stats.recordings, 1u);
     EXPECT_EQ(stats.replays, 2u);
-    EXPECT_EQ(stats.residentTraces, 1u);
-    EXPECT_EQ(stats.spilledTraces, 0u);
     EXPECT_GT(stats.residentBytes, 0u);
-}
-
-TEST(TraceBank, SpillPathReplaysIdentically)
-{
-    // A 16-instruction resident limit forces the sift spill path.
-    TraceBank bank(/*memory_resident_max_insts=*/16);
-    isa::Program prog = smallProgram("MC");
-    size_t id = bank.add(prog);
-    auto replay = bank.open(id);
-    expectStreamIdentical(*replay, prog);
-    TraceBankStats stats = bank.stats();
-    EXPECT_EQ(stats.spilledTraces, 1u);
-    EXPECT_EQ(stats.residentTraces, 0u);
-    EXPECT_EQ(stats.residentBytes, 0u);
-    EXPECT_GT(stats.encodedBytes, 0u);
 }
 
 TEST(TraceBank, DeduplicatesIdenticalPrograms)
@@ -252,39 +235,41 @@ TEST(Engine, BatchDeduplicatesIdenticalKeys)
     EXPECT_EQ(engine.stats().evaluations, 2u);
 }
 
-// A spilled trace replays from its sift encoding. Each fresh
-// evaluation is one bank replay, whether it runs through evaluateModel
-// or a batch, and its value matches the packed path's.
-TEST(Engine, SpilledReplayCountsOncePerFreshEval)
+// Each fresh evaluation is one bank replay, whether it runs through
+// evaluateModel or a batch; a cache hit replays nothing.
+TEST(Engine, ReplayCountsOncePerFreshEval)
 {
-    EngineOptions spill;
-    spill.memoryResidentMaxInsts = 16; // forces the spill path
-    EvalEngine spilled(core::ModelFamily::InOrder, spill);
-    EvalEngine resident(core::ModelFamily::InOrder);
+    EvalEngine engine(core::ModelFamily::InOrder);
     isa::Program prog = smallProgram("MC", 6000);
-    size_t id = spilled.addInstance(prog);
-    size_t resident_id = resident.addInstance(prog);
+    size_t id = engine.addInstance(prog);
 
     const unsigned n = 5;
     std::vector<core::CoreParams> models(n, core::publicInfoA53());
     for (unsigned i = 0; i < n; ++i)
         models[i].mispredictPenalty = 4 + i;
 
-    spilled.evaluateModel(models[0], id);
-    BatchEvaluator batch(spilled);
+    engine.evaluateModel(models[0], id);
+    BatchEvaluator batch(engine);
     std::vector<BatchEvaluator::Ticket> tickets;
     for (unsigned i = 1; i < n; ++i)
         tickets.push_back(batch.submitModel(models[i], id));
     batch.collect();
 
-    EngineStats stats = spilled.stats();
+    EngineStats stats = engine.stats();
     EXPECT_EQ(stats.evaluations, n);
     EXPECT_EQ(stats.bank.replays, n);
-    EXPECT_EQ(stats.bank.spilledTraces, 1u);
-    EXPECT_EQ(stats.bank.residentTraces, 0u);
+    EXPECT_EQ(stats.bank.recordings, 1u);
+    EXPECT_EQ(stats.bank.spilledTraces, 0u);
+    EXPECT_EQ(stats.bank.encodedBytes, 0u);
+
+    engine.evaluateModel(models[0], id);
+    EXPECT_EQ(engine.stats().bank.replays, n);
+
+    // Batched values match a live run of the same model.
     for (unsigned i = 1; i < n; ++i) {
+        vm::FunctionalCore live(prog);
         EXPECT_EQ(batch.simCpi(tickets[i - 1]),
-                  resident.evaluateModel(models[i], resident_id).simCpi)
+                  core::InOrderCore(models[i]).run(live).cpi())
             << "model " << i;
     }
 }

@@ -1,6 +1,6 @@
 /** @file Scenario-registry tests: golden target salts, family
  *  whitelists, the M-class presets and their no-L2 modeling, per-target
- *  raced-space clamping, firmware trace sizing (spill + re-admission),
+ *  raced-space clamping, firmware trace sizing and replay,
  *  the hold-out contract, and cross-target cache/checkpoint
  *  isolation. */
 
@@ -11,13 +11,16 @@
 
 #include "campaign/campaign.hh"
 #include "core/params.hh"
+#include "core/timing_model.hh"
 #include "engine/engine.hh"
 #include "engine/fingerprint.hh"
 #include "hw/machine.hh"
 #include "scenario/scenario.hh"
+#include "sift/sift.hh"
 #include "ubench/ubench.hh"
 #include "validate/oracle.hh"
 #include "validate/sniper_space.hh"
+#include "vm/functional.hh"
 #include "workload/firmware.hh"
 
 using namespace raceval;
@@ -292,56 +295,42 @@ TEST(Scenario, ScaledCountCapIsParametric)
     EXPECT_GT(fw, workload::firmware::traceCap / 2);
 }
 
-TEST(Scenario, FirmwareTracesAllCrossSpillThreshold)
+TEST(Scenario, FirmwareTracesLandInUpperHalfOfCap)
 {
-    // traceCap / 2 == the TraceBank per-trace residency threshold, so
-    // the (cap/2, cap] landing zone guarantees the spill path for every
-    // firmware trace regardless of its nominal count.
-    engine::EngineOptions defaults;
-    EXPECT_EQ(workload::firmware::traceCap / 2,
-              defaults.memoryResidentMaxInsts);
+    // Firmware sizes define the workload and its goldens: every scaled
+    // firmware trace lands in (traceCap/2, traceCap], i.e. above 1 Mi
+    // dynamic instructions, whatever its nominal count.
     ASSERT_EQ(workload::firmware::all().size(), 3u);
     for (const auto &info : workload::firmware::all()) {
         uint64_t scaled = ubench::scaledCount(
             info.dynInsts, workload::firmware::traceCap);
-        EXPECT_GT(scaled, defaults.memoryResidentMaxInsts)
-            << info.name;
+        EXPECT_GT(scaled, workload::firmware::traceCap / 2) << info.name;
         EXPECT_LE(scaled, workload::firmware::traceCap) << info.name;
     }
 }
 
-TEST(Scenario, FirmwareTraceSpilledAndPackedReplaysAgree)
+TEST(Scenario, FirmwareTraceEngineMatchesLiveAndSift)
 {
+    // A > 1 Mi-instruction firmware trace: the engine's packed replay,
+    // live functional execution and a sift round trip time identically.
     const auto &infos = workload::firmware::all();
     isa::Program prog = workload::firmware::build(infos[0]);
     core::CoreParams model = core::publicInfoCortexM();
 
-    // Under the default per-trace threshold the trace spills: it is
-    // recorded as sift bytes only and replays through the cursor path.
-    engine::EvalEngine spilled(core::ModelFamily::InOrder);
-    size_t spilled_id = spilled.addInstance(prog);
-    EXPECT_GT(spilled.traceBank().instCount(spilled_id), 1ull << 20);
-    double spilled_cpi = spilled.evaluateModel(model, spilled_id).simCpi;
-    engine::EngineStats stats = spilled.stats();
-    EXPECT_EQ(stats.bank.spilledTraces, 1u);
-    EXPECT_EQ(stats.bank.residentTraces, 0u);
+    engine::EvalEngine eng(core::ModelFamily::InOrder);
+    size_t id = eng.addInstance(prog);
+    EXPECT_GT(eng.traceBank().instCount(id), 1ull << 20);
+    double engine_cpi = eng.evaluateModel(model, id).simCpi;
 
-    // A raised per-trace threshold packs the same recording at record
-    // time; the packed replay must agree with the spilled one
-    // bit-for-bit.
-    engine::EngineOptions opts;
-    opts.memoryResidentMaxInsts = 4ull << 20;
-    engine::EvalEngine packed(core::ModelFamily::InOrder, opts);
-    size_t packed_id = packed.addInstance(prog);
-    double packed_cpi = packed.evaluateModel(model, packed_id).simCpi;
-    stats = packed.stats();
-    EXPECT_EQ(stats.bank.spilledTraces, 0u);
-    EXPECT_EQ(stats.bank.residentTraces, 1u);
-    EXPECT_EQ(packed_cpi, spilled_cpi);
+    auto timing = core::makeTimingModel(core::ModelFamily::InOrder, model);
+    vm::FunctionalCore live(prog);
+    EXPECT_EQ(timing->run(live).cpi(), engine_cpi);
+    sift::SiftReader replay(sift::encodeTrace(prog, live));
+    EXPECT_EQ(timing->run(replay).cpi(), engine_cpi);
 
-    // A different model still moves the result on either form.
+    // A different model still moves the result.
     model.mispredictPenalty += 1;
-    EXPECT_NE(packed.evaluateModel(model, packed_id).simCpi, spilled_cpi);
+    EXPECT_NE(eng.evaluateModel(model, id).simCpi, engine_cpi);
 }
 
 // ---------------------------------------------------- hold-out contract

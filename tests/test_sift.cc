@@ -85,10 +85,9 @@ TEST(Sift, EmbedsProgramAndData)
 
 TEST(Sift, LargeTraceRoundTrip)
 {
-    // The TraceBank spills big workloads to their sift encoding; this
-    // covers that path at depth: a >= 1M instruction record/replay
-    // round trip must stay byte-identical (memory deltas and branch
-    // targets accumulate over the whole stream, so any drift shows).
+    // A >= 1M instruction record/replay round trip must stay
+    // byte-identical (memory deltas and branch targets accumulate over
+    // the whole stream, so any drift shows).
     isa::Program prog = ubench::find("MC")->builder(1200000, true);
     vm::FunctionalCore live(prog);
     std::vector<uint8_t> bytes = sift::encodeTrace(prog, live);
@@ -108,29 +107,6 @@ TEST(Sift, LargeTraceRoundTrip)
     }
     EXPECT_FALSE(replay.next(b));
     EXPECT_EQ(replay.instCount(), count);
-}
-
-TEST(Sift, SharedTraceSupportsConcurrentCursors)
-{
-    // Two cursors over one parsed SiftTrace replay independently.
-    isa::Program prog = ubench::find("CCh")->builder(8000, true);
-    vm::FunctionalCore live(prog);
-    auto trace = std::make_shared<const sift::SiftTrace>(
-        sift::encodeTrace(prog, live));
-    sift::SiftCursor fast(trace), slow(trace);
-    vm::DynInst a, b;
-    // Advance `fast` half way; `slow` must be unaffected.
-    for (uint64_t i = 0; i < trace->instCount() / 2; ++i)
-        ASSERT_TRUE(fast.next(a));
-    live.reset();
-    uint64_t count = 0;
-    while (live.next(a)) {
-        ASSERT_TRUE(slow.next(b));
-        ASSERT_EQ(a.pc, b.pc);
-        ASSERT_EQ(a.nextPc, b.nextPc);
-        ++count;
-    }
-    EXPECT_EQ(count, trace->instCount());
 }
 
 TEST(Sift, CompressionIsCompact)
