@@ -7,7 +7,8 @@
  * Three pillars, all over the same packed traces:
  *
  *   - ns/inst of the library step (modulo-free cursors; interval also
- *     its classify-once ALU fast path) for every family x {ALU-heavy,
+ *     its classify-once ALU fast path), one pass being one run() of
+ *     the family's replay loop, for every family x {ALU-heavy,
  *     memory, branchy} workload, interleaved min-of-N passes, each
  *     timed on this thread's CPU clock so other tenants' preemption
  *     does not land inside a pass;
@@ -19,8 +20,8 @@
  *     the speedup never silently evaporates into "both sides got
  *     slower";
  *   - bit-identity: the OoO step must produce exactly the baseline's
- *     CoreStats, and interval's runSegmentGeneric (every instruction
- *     through its generic body) must match its tagged fast path.
+ *     CoreStats, and interval's runGeneric (every instruction through
+ *     its generic body) must match its tagged fast path.
  *     In-order and OoO have one step body each, so they report one
  *     ns/inst column.
  *
@@ -47,7 +48,6 @@
 #include "core/interval.hh"
 #include "core/ooo.hh"
 #include "core/params.hh"
-#include "core/replay.hh"
 #include "core/stats.hh"
 #include "ubench/ubench.hh"
 #include "vm/functional.hh"
@@ -367,23 +367,11 @@ timedNsPerInst(uint64_t insts, Fn &&pass)
     return insts ? (t1 - t0) * 1e9 / static_cast<double>(insts) : 0.0;
 }
 
-template <class Model>
-core::CoreStats
-runStep(Model &model, const vm::PackedTrace &trace)
-{
-    model.beginRun();
-    vm::PackedStream stream(trace);
-    model.runSegment(stream, ~uint64_t{0});
-    return model.finishRun();
-}
-
 core::CoreStats
 runGeneric(core::IntervalCore &model, const vm::PackedTrace &trace)
 {
-    model.beginRun();
     vm::PackedStream stream(trace);
-    model.runSegmentGeneric(stream, ~uint64_t{0});
-    return model.finishRun();
+    return model.runGeneric(stream);
 }
 
 /** Per-family, per-workload measurement row. */
@@ -420,7 +408,7 @@ measureFamily(const core::CoreParams &params,
     std::vector<double> ratios;
     for (int rep = 0; rep < reps; ++rep) {
         double library_ns = timedNsPerInst(
-            insts, [&] { stats = runStep(model, trace); });
+            insts, [&] { stats = model.run(trace); });
         if (rep == 0 || library_ns < row.ns)
             row.ns = library_ns;
         if constexpr (has_generic) {

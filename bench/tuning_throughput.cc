@@ -20,6 +20,7 @@
  */
 
 #include <benchmark/benchmark.h>
+#include <time.h>
 
 #include <algorithm>
 #include <chrono>
@@ -221,6 +222,15 @@ sameRace(const tuner::RaceResult &a, const tuner::RaceResult &b)
         && a.iterations == b.iterations;
 }
 
+/** @return the median of @p values (reordered). */
+double
+median(std::vector<double> &values)
+{
+    auto mid = values.begin() + values.size() / 2;
+    std::nth_element(values.begin(), mid, values.end());
+    return *mid;
+}
+
 /** cold_speedup, which perf_replay_guard requires to stay >= 1: the
  *  median pre-engine / cold wall-time ratio over pairs of the same
  *  parallel races, run back to back; the gbench passes are the first
@@ -244,15 +254,31 @@ coldSpeedup(bool &identical)
             && sameRace(*cold.race, *engineCold.race);
         ratios.push_back(pre.seconds / cold.seconds);
     }
-    auto mid = ratios.begin() + ratios.size() / 2;
-    std::nth_element(ratios.begin(), mid, ratios.end());
-    return *mid;
+    return median(ratios);
 }
 
+/** @return this process's CPU time in seconds, summed over every
+ *  thread. Pool workers idle on a condition variable add nothing, and
+ *  time other processes hold the cores is not charged. */
+double
+processCpuSeconds()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec)
+        + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+/** Interleaved (paused, live) pairs of the telemetry A-B. */
+constexpr size_t telemetryPairs = 7;
+
 /** Telemetry A-B: the same cold race with span recording paused vs
- *  live, interleaved min-of-N. Feeds the perf_obs_guard ctest entry:
- *  enabled-mode overhead must stay in the low single digits and the
- *  RaceResult must stay bit-identical with tracing on. */
+ *  live, in telemetryPairs interleaved pairs, each race timed on
+ *  process CPU time. The overhead is the median of the per-pair
+ *  100 x (on/off - 1), so one disturbed pair moves one value, not the
+ *  result. Feeds the perf_obs_guard ctest entry: enabled-mode
+ *  overhead must stay in the low single digits and the RaceResult
+ *  must stay bit-identical with tracing on. */
 void
 measureTelemetryOverhead()
 {
@@ -266,26 +292,22 @@ measureTelemetryOverhead()
     if (own_session)
         obs::startTracing(temp_trace);
 
-    auto race_once = [] {
+    bool identical = true;
+    auto cpu_race = [&identical](bool paused) {
+        obs::setTracingPaused(paused);
         auto eng = makeEngine();
-        return raceEngine(*eng);
+        double start = processCpuSeconds();
+        PathResult r = raceEngine(*eng);
+        double cpu = processCpuSeconds() - start;
+        identical = identical && sameRace(*r.race, *engineCold.race);
+        return cpu;
     };
 
-    // Interleave the sides so drift (frequency scaling, competing
-    // ctest jobs) hits both equally; min-of-rounds rejects the noise.
-    PathResult off, on;
-    bool identical = true;
-    for (int round = 0; round < 3; ++round) {
-        obs::setTracingPaused(true);
-        PathResult r = race_once();
-        if (round == 0 || r.seconds < off.seconds)
-            off = std::move(r);
-        obs::setTracingPaused(false);
-        r = race_once();
-        if (round == 0 || r.seconds < on.seconds)
-            on = std::move(r);
-        identical = identical && sameRace(*off.race, *on.race)
-            && sameRace(*on.race, *engineCold.race);
+    std::vector<double> off, on, pcts;
+    for (size_t pair = 0; pair < telemetryPairs; ++pair) {
+        off.push_back(cpu_race(true));
+        on.push_back(cpu_race(false));
+        pcts.push_back(100.0 * (on.back() / off.back() - 1.0));
     }
     obs::setTracingPaused(false);
     if (own_session) {
@@ -293,14 +315,15 @@ measureTelemetryOverhead()
         std::remove(temp_trace);
     }
 
-    double overhead_pct = off.seconds > 0.0
-        ? 100.0 * (on.seconds - off.seconds) / off.seconds : 0.0;
-    std::printf("\ntelemetry overhead (cold race, min of 3): "
-                "off %.3f s, on %.3f s, %+.2f%%; bit-identical: %s\n",
-                off.seconds, on.seconds, overhead_pct,
+    double off_cpu = median(off), on_cpu = median(on);
+    double overhead_pct = median(pcts);
+    std::printf("\ntelemetry overhead (cold race, process CPU, median "
+                "of %zu pairs): off %.3f s, on %.3f s, %+.2f%%; "
+                "bit-identical: %s\n",
+                telemetryPairs, off_cpu, on_cpu, overhead_pct,
                 identical ? "yes" : "NO (BUG)");
-    bench::jsonMetric("telemetry_off_seconds", off.seconds);
-    bench::jsonMetric("telemetry_on_seconds", on.seconds);
+    bench::jsonMetric("telemetry_off_cpu_seconds", off_cpu);
+    bench::jsonMetric("telemetry_on_cpu_seconds", on_cpu);
     bench::jsonMetric("telemetry_overhead_pct", overhead_pct);
     bench::jsonMetric("telemetry_bit_identical", identical ? 1.0 : 0.0);
 }

@@ -19,44 +19,6 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyParams &params,
     hparams.validate();
 }
 
-MemoryHierarchy::MemoryHierarchy(const MemoryHierarchy &other)
-    : hparams(other.hparams),
-      l1iCache(other.l1iCache),
-      l1dCache(other.l1dCache),
-      l2Cache(other.l2Cache),
-      dramModel(other.dramModel),
-      l1dPrefetcher(other.l1dPrefetcher ? other.l1dPrefetcher->clone()
-                                        : nullptr),
-      l1iPrefetcher(other.l1iPrefetcher ? other.l1iPrefetcher->clone()
-                                        : nullptr),
-      l2Prefetcher(other.l2Prefetcher ? other.l2Prefetcher->clone()
-                                      : nullptr),
-      prefetchScratch(other.prefetchScratch),
-      inFlight(other.inFlight)
-{
-}
-
-MemoryHierarchy &
-MemoryHierarchy::operator=(const MemoryHierarchy &other)
-{
-    if (this == &other)
-        return *this;
-    hparams = other.hparams;
-    l1iCache = other.l1iCache;
-    l1dCache = other.l1dCache;
-    l2Cache = other.l2Cache;
-    dramModel = other.dramModel;
-    l1dPrefetcher =
-        other.l1dPrefetcher ? other.l1dPrefetcher->clone() : nullptr;
-    l1iPrefetcher =
-        other.l1iPrefetcher ? other.l1iPrefetcher->clone() : nullptr;
-    l2Prefetcher =
-        other.l2Prefetcher ? other.l2Prefetcher->clone() : nullptr;
-    prefetchScratch = other.prefetchScratch;
-    inFlight = other.inFlight;
-    return *this;
-}
-
 void
 MemoryHierarchy::reset()
 {

@@ -41,14 +41,9 @@ class MemoryHierarchy
     explicit MemoryHierarchy(const HierarchyParams &params,
                              uint64_t rng_seed = 99);
 
-    /** Deep copy (cache contents, prefetcher state, in-flight
-     *  prefetches), so a core copied mid-run continues exactly. */
-    MemoryHierarchy(const MemoryHierarchy &other);
-    MemoryHierarchy &operator=(const MemoryHierarchy &other);
-
     /**
      * One demand access. Inline so the L1-hit fast path folds into
-     * the replay segment loops (this is the hot chain's entry point);
+     * the replay loop (this is the hot chain's entry point);
      * the miss machinery below L1 stays out of line in accessMiss().
      *
      * @param pc the accessing instruction (trains prefetchers).

@@ -40,10 +40,6 @@ class Prefetcher
 
     /** Forget learned state. */
     virtual void reset() = 0;
-
-    /** Deep copy, learned state included (a core copied mid-run
-     *  copies its whole hierarchy). */
-    virtual std::unique_ptr<Prefetcher> clone() const = 0;
 };
 
 /** Prefetch next N sequential lines on every miss. */
@@ -54,11 +50,6 @@ class NextLinePrefetcher : public Prefetcher
     void observe(uint64_t pc, uint64_t line_addr, bool miss,
                  std::vector<uint64_t> &out) override;
     void reset() override {}
-    std::unique_ptr<Prefetcher>
-    clone() const override
-    {
-        return std::make_unique<NextLinePrefetcher>(*this);
-    }
 
   private:
     unsigned degree;
@@ -75,11 +66,6 @@ class StridePrefetcher : public Prefetcher
     void observe(uint64_t pc, uint64_t line_addr, bool miss,
                  std::vector<uint64_t> &out) override;
     void reset() override;
-    std::unique_ptr<Prefetcher>
-    clone() const override
-    {
-        return std::make_unique<StridePrefetcher>(*this);
-    }
 
   private:
     struct Entry
@@ -107,11 +93,6 @@ class GhbPrefetcher : public Prefetcher
     void observe(uint64_t pc, uint64_t line_addr, bool miss,
                  std::vector<uint64_t> &out) override;
     void reset() override;
-    std::unique_ptr<Prefetcher>
-    clone() const override
-    {
-        return std::make_unique<GhbPrefetcher>(*this);
-    }
 
   private:
     struct GhbEntry

@@ -32,7 +32,7 @@ class ContentionModel
 
     /**
      * Reserve a unit for one instruction. Inline: this runs once per
-     * replayed instruction in the in-order and OoO segment loops.
+     * replayed instruction in the in-order and OoO replay loops.
      *
      * @param cls timing class of the instruction.
      * @param ready earliest cycle its operands allow it to start.

@@ -3,6 +3,7 @@
 #include "common/log.hh"
 #include "core/replay.hh"
 #include "obs/step_profiler.hh"
+#include "obs/trace.hh"
 
 namespace raceval::core
 {
@@ -216,32 +217,6 @@ InOrderCore::step(const Stream &s)
     advanceSlot();
 }
 
-template <bool Profiled, class Stream>
-uint64_t
-InOrderCore::runSegmentImpl(Stream &s, uint64_t max_insts)
-{
-    uint64_t consumed = 0;
-    while (consumed < max_insts && s.next()) {
-        ++consumed;
-        step<Profiled>(s);
-    }
-    return consumed;
-}
-
-template <class Stream>
-uint64_t
-InOrderCore::runSegment(Stream &s, uint64_t max_insts)
-{
-    if (obs::stepProfilingEnabled())
-        return runSegmentImpl<true>(s, max_insts);
-    return runSegmentImpl<false>(s, max_insts);
-}
-
-template uint64_t
-InOrderCore::runSegment<vm::PackedStream>(vm::PackedStream &, uint64_t);
-template uint64_t
-InOrderCore::runSegment<vm::SourceStream>(vm::SourceStream &, uint64_t);
-
 CoreStats
 InOrderCore::finishRun()
 {
@@ -261,17 +236,17 @@ InOrderCore::finishRun()
 CoreStats
 InOrderCore::run(vm::TraceSource &source)
 {
-    beginRun();
     source.reset();
     vm::SourceStream stream(source);
-    runSegment(stream, ~uint64_t{0});
-    return finishRun();
+    return replayStream(*this, stream);
 }
 
 CoreStats
 InOrderCore::run(const vm::PackedTrace &trace)
 {
-    return runPackedTrace(*this, trace);
+    RV_SPAN("replay.pass", trace.instCount());
+    vm::PackedStream stream(trace);
+    return replayStream(*this, stream);
 }
 
 } // namespace raceval::core

@@ -47,34 +47,17 @@ class InOrderCore : public TimingModel
      */
     CoreStats run(vm::TraceSource &source) override;
 
-    /** Packed replay: one runSegment pass over the whole trace;
+    /** Packed replay of the whole trace (core/replay.hh);
      *  bit-identical to run(TraceSource&) over the same recording. */
     CoreStats run(const vm::PackedTrace &trace) override;
-
-    /// @name Segment interface (see core/replay.hh)
-    /// @{
-    /** Reset machine state and start a fresh accounting run. */
-    void beginRun();
-
-    /**
-     * Replay up to @p max_insts instructions from @p stream
-     * (vm::PackedStream or vm::SourceStream; instantiated for both).
-     * May be called repeatedly; a copy of the core mid-run continues
-     * from the same state (the copy constructor carries all of it).
-     *
-     * @return instructions consumed.
-     */
-    template <class Stream>
-    uint64_t runSegment(Stream &stream, uint64_t max_insts);
-
-    /** Close accounting (drains, end cycle) and return the stats. */
-    CoreStats finishRun();
-    /// @}
 
     /** @return the active configuration. */
     const CoreParams &params() const override { return cparams; }
 
   private:
+    template <class Model, class Stream>
+    friend CoreStats replayStream(Model &model, Stream &stream);
+
     CoreParams cparams;
     cache::MemoryHierarchy mem;
     branch::BranchUnit bp;
@@ -89,8 +72,7 @@ class InOrderCore : public TimingModel
      * OooCore::StepState for the full rationale): the forwarding ring
      * cursor wraps on increment instead of a modulo, and the
      * CoreParams fields the per-instruction loop reads are copied in
-     * by resetState(). Plain members so a mid-run copy of the core
-     * carries them verbatim.
+     * by resetState().
      */
     struct StepState
     {
@@ -131,8 +113,14 @@ class InOrderCore : public TimingModel
     void resetState();
     void advanceSlot();
 
+    /** Reset machine state and start a fresh accounting run. */
+    void beginRun();
+
+    /** Close accounting (drains, end cycle) and return the stats. */
+    CoreStats finishRun();
+
     /**
-     * Per-instruction accounting behind runSegment: fetch, issue and
+     * Per-instruction accounting of the replay loop: fetch, issue and
      * retire are shared by every kind; load / store / branch work
      * runs in stepNonAlu, which plain ALU ops (the precomputed 2-bit
      * kind tag) never enter.
@@ -146,9 +134,6 @@ class InOrderCore : public TimingModel
     template <class Timer, class Stream>
     uint64_t stepNonAlu(const Stream &s, isa::OpKind kind,
                         uint64_t done, Timer &timer);
-
-    template <bool Profiled, class Stream>
-    uint64_t runSegmentImpl(Stream &stream, uint64_t max_insts);
 
     /** Stall issue until at least target (resets the slot counter). */
     void stallUntil(uint64_t target);

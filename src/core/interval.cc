@@ -3,6 +3,7 @@
 #include "common/log.hh"
 #include "core/replay.hh"
 #include "obs/step_profiler.hh"
+#include "obs/trace.hh"
 
 namespace raceval::core
 {
@@ -190,47 +191,20 @@ IntervalCore::step(const Stream &s)
     stepSlow<Profiled>(s, kind);
 }
 
-template <bool Profiled, class Stream>
-uint64_t
-IntervalCore::runSegmentImpl(Stream &s, uint64_t max_insts)
-{
-    uint64_t consumed = 0;
-    while (consumed < max_insts && s.next()) {
-        ++consumed;
-        step<Profiled>(s);
-    }
-    return consumed;
-}
-
 template <class Stream>
-uint64_t
-IntervalCore::runSegment(Stream &s, uint64_t max_insts)
+CoreStats
+IntervalCore::runGeneric(Stream &s)
 {
-    if (obs::stepProfilingEnabled())
-        return runSegmentImpl<true>(s, max_insts);
-    return runSegmentImpl<false>(s, max_insts);
-}
-
-template <class Stream>
-uint64_t
-IntervalCore::runSegmentGeneric(Stream &s, uint64_t max_insts)
-{
-    uint64_t consumed = 0;
-    while (consumed < max_insts && s.next()) {
-        ++consumed;
+    beginRun();
+    while (s.next())
         stepSlow<false>(s, s.kind());
-    }
-    return consumed;
+    return finishRun();
 }
 
-template uint64_t
-IntervalCore::runSegment<vm::PackedStream>(vm::PackedStream &, uint64_t);
-template uint64_t
-IntervalCore::runSegment<vm::SourceStream>(vm::SourceStream &, uint64_t);
-template uint64_t IntervalCore::runSegmentGeneric<vm::PackedStream>(
-    vm::PackedStream &, uint64_t);
-template uint64_t IntervalCore::runSegmentGeneric<vm::SourceStream>(
-    vm::SourceStream &, uint64_t);
+template CoreStats
+IntervalCore::runGeneric<vm::PackedStream>(vm::PackedStream &);
+template CoreStats
+IntervalCore::runGeneric<vm::SourceStream>(vm::SourceStream &);
 
 CoreStats
 IntervalCore::finishRun()
@@ -250,17 +224,17 @@ IntervalCore::finishRun()
 CoreStats
 IntervalCore::run(vm::TraceSource &source)
 {
-    beginRun();
     source.reset();
     vm::SourceStream stream(source);
-    runSegment(stream, ~uint64_t{0});
-    return finishRun();
+    return replayStream(*this, stream);
 }
 
 CoreStats
 IntervalCore::run(const vm::PackedTrace &trace)
 {
-    return runPackedTrace(*this, trace);
+    RV_SPAN("replay.pass", trace.instCount());
+    vm::PackedStream stream(trace);
+    return replayStream(*this, stream);
 }
 
 } // namespace raceval::core

@@ -56,44 +56,27 @@ class IntervalCore : public TimingModel
      */
     CoreStats run(vm::TraceSource &source) override;
 
-    /** Packed replay: one runSegment pass over the whole trace;
+    /** Packed replay of the whole trace (core/replay.hh);
      *  bit-identical to run(TraceSource&) over the same recording. */
     CoreStats run(const vm::PackedTrace &trace) override;
 
-    /// @name Segment interface (see core/replay.hh)
-    /// @{
-    /** Reset machine state and start a fresh accounting run. */
-    void beginRun();
-
     /**
-     * Replay up to @p max_insts instructions from @p stream
-     * (vm::PackedStream or vm::SourceStream; instantiated for both).
-     * May be called repeatedly; a copy of the core mid-run continues
-     * from the same state (the copy constructor carries all of it).
-     *
-     * @return instructions consumed.
-     */
-    template <class Stream>
-    uint64_t runSegment(Stream &stream, uint64_t max_insts);
-
-    /**
-     * Test seam: identical contract to runSegment, but routes every
+     * Test seam: replay the whole @p stream like run(), but route every
      * instruction -- including plain ALU -- through the generic step
      * body, so bit-identity of the tagged fast path is directly
      * checkable against the un-specialized accounting (instantiated
      * for vm::PackedStream and vm::SourceStream).
      */
     template <class Stream>
-    uint64_t runSegmentGeneric(Stream &stream, uint64_t max_insts);
-
-    /** Close accounting (end cycle) and return the stats. */
-    CoreStats finishRun();
-    /// @}
+    CoreStats runGeneric(Stream &stream);
 
     /** @return the active configuration. */
     const CoreParams &params() const override { return cparams; }
 
   private:
+    template <class Model, class Stream>
+    friend CoreStats replayStream(Model &model, Stream &stream);
+
     CoreParams cparams;
     cache::MemoryHierarchy mem;
     branch::BranchUnit bp;
@@ -107,7 +90,7 @@ class IntervalCore : public TimingModel
      * OooCore::StepState for the full rationale): the ROB ring cursor
      * wraps on increment instead of the old `seq % robEntries`
      * division, and the CoreParams fields the loop reads are copied
-     * in by resetState(). Plain members so a mid-run copy carries them.
+     * in by resetState().
      */
     struct StepState
     {
@@ -132,9 +115,15 @@ class IntervalCore : public TimingModel
 
     void resetState();
 
+    /** Reset machine state and start a fresh accounting run. */
+    void beginRun();
+
+    /** Close accounting (end cycle) and return the stats. */
+    CoreStats finishRun();
+
     /**
-     * Per-instruction accounting behind runSegment: classify once on the
-     * precomputed 2-bit kind tag, then either take the minimal
+     * Per-instruction accounting of the replay loop: classify once on
+     * the precomputed 2-bit kind tag, then either take the minimal
      * plain-ALU fast path (no cache access, no predictor) or the
      * generic body. @tparam Profiled selects the step-cost-profiler
      * instantiation.
@@ -149,9 +138,6 @@ class IntervalCore : public TimingModel
     /** Generic body handling every kind. */
     template <bool Profiled, class Stream>
     void stepSlow(const Stream &s, isa::OpKind kind);
-
-    template <bool Profiled, class Stream>
-    uint64_t runSegmentImpl(Stream &stream, uint64_t max_insts);
 };
 
 } // namespace raceval::core

@@ -44,34 +44,17 @@ class OooCore : public TimingModel
      */
     CoreStats run(vm::TraceSource &source) override;
 
-    /** Packed replay: one runSegment pass over the whole trace;
+    /** Packed replay of the whole trace (core/replay.hh);
      *  bit-identical to run(TraceSource&) over the same recording. */
     CoreStats run(const vm::PackedTrace &trace) override;
-
-    /// @name Segment interface (see core/replay.hh)
-    /// @{
-    /** Reset machine state and start a fresh accounting run. */
-    void beginRun();
-
-    /**
-     * Replay up to @p max_insts instructions from @p stream
-     * (vm::PackedStream or vm::SourceStream; instantiated for both).
-     * May be called repeatedly; a copy of the core mid-run continues
-     * from the same state (the copy constructor carries all of it).
-     *
-     * @return instructions consumed.
-     */
-    template <class Stream>
-    uint64_t runSegment(Stream &stream, uint64_t max_insts);
-
-    /** Close accounting (drains, end cycle) and return the stats. */
-    CoreStats finishRun();
-    /// @}
 
     /** @return the active configuration. */
     const CoreParams &params() const override { return cparams; }
 
   private:
+    template <class Model, class Stream>
+    friend CoreStats replayStream(Model &model, Stream &stream);
+
     CoreParams cparams;
     cache::MemoryHierarchy mem;
     branch::BranchUnit bp;
@@ -92,8 +75,6 @@ class OooCore : public TimingModel
      * identical index sequence with no division. The trailing fields
      * are copies of CoreParams/ring sizes refreshed by resetState(),
      * keeping the per-instruction loop free of cold-struct loads.
-     * Plain members with default copy: a core copied mid-run must
-     * carry this state verbatim (tests/test_replay.cc checks it).
      */
     struct StepState
     {
@@ -147,18 +128,21 @@ class OooCore : public TimingModel
 
     void resetState();
 
+    /** Reset machine state and start a fresh accounting run. */
+    void beginRun();
+
+    /** Close accounting (drains, end cycle) and return the stats. */
+    CoreStats finishRun();
+
     /**
-     * Per-instruction accounting behind runSegment, one body for every
-     * kind: the precomputed 2-bit kind tag gates the LQ / SQ, memory
-     * and predictor work. @tparam Profiled selects the
+     * Per-instruction accounting of the replay loop, one body for
+     * every kind: the precomputed 2-bit kind tag gates the LQ / SQ,
+     * memory and predictor work. @tparam Profiled selects the
      * step-cost-profiler instantiation (obs/step_profiler.hh); the
-     * segment loop picks it once per segment.
+     * replay loop picks it once per run.
      */
     template <bool Profiled, class Stream>
     void step(const Stream &s);
-
-    template <bool Profiled, class Stream>
-    uint64_t runSegmentImpl(Stream &stream, uint64_t max_insts);
 
     bool forwardedFromStore(uint64_t addr, unsigned size,
                             uint64_t now) const;

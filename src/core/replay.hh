@@ -1,42 +1,48 @@
 /**
  * @file
- * Packed-trace replay through a family's segment interface.
+ * The one replay loop every timing family runs.
  *
- * Every family exposes beginRun() / runSegment() / finishRun(); a
- * packed replay is one runSegment() pass over the whole trace. The
- * timing recurrence is sequential -- each instruction consumes the
- * state the previous one left -- so a single experiment does not
- * split across threads. Parallelism comes from running independent
- * (config, trace) experiments side by side: the engine dispatches
- * every fresh evaluation of a racing step as its own thread-pool
- * item.
+ * A replay is one pass over a whole dynamic stream from a clean
+ * machine state: reset, step every instruction, close the
+ * accounting. The timing recurrence is sequential -- each
+ * instruction consumes the state the previous one left -- so a single
+ * experiment does not split across threads. Parallelism comes from
+ * running independent (config, trace) experiments side by side: the
+ * engine dispatches every fresh evaluation of a racing step as its
+ * own thread-pool item.
  *
- * runSegment() may still be called repeatedly, and a core copied
- * mid-run continues from the same state; tests/test_replay.cc checks
- * that each family's copy constructor carries all of it.
+ * Both run() overloads of each family call replayStream, the packed
+ * one over a vm::PackedStream and the generic one over a
+ * vm::SourceStream, so the two paths share one loop body and are
+ * bit-identical by construction. A family befriends replayStream and
+ * keeps beginRun(), step<Profiled>() and finishRun() private.
  */
 
 #ifndef RACEVAL_CORE_REPLAY_HH
 #define RACEVAL_CORE_REPLAY_HH
 
-#include <cstdint>
-
 #include "core/stats.hh"
-#include "obs/trace.hh"
-#include "vm/packed_trace.hh"
+#include "obs/step_profiler.hh"
 
 namespace raceval::core
 {
 
-/** Replay a packed trace from a clean machine state in one pass. */
-template <class Model>
+/**
+ * Replay @p stream through @p model from a clean machine state. The
+ * step-cost profiler's instantiation is picked once per run.
+ */
+template <class Model, class Stream>
 CoreStats
-runPackedTrace(Model &model, const vm::PackedTrace &trace)
+replayStream(Model &model, Stream &stream)
 {
-    RV_SPAN("replay.pass", trace.instCount());
-    vm::PackedStream stream(trace);
     model.beginRun();
-    model.runSegment(stream, ~uint64_t{0});
+    if (obs::stepProfilingEnabled()) {
+        while (stream.next())
+            model.template step<true>(stream);
+    } else {
+        while (stream.next())
+            model.template step<false>(stream);
+    }
     return model.finishRun();
 }
 

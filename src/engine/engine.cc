@@ -176,8 +176,8 @@ core::CoreStats
 EvalEngine::replayRun(core::ModelFamily family,
                       const core::CoreParams &model, size_t instance)
 {
-    // The hot path: replay the packed SoA form through the templated
-    // segment loop.
+    // The hot path: replay the packed SoA form through the family's
+    // one replay loop (core/replay.hh).
     std::shared_ptr<const vm::PackedTrace> trace = bank.replay(instance);
     return core::makeTimingModel(family, model)->run(*trace);
 }

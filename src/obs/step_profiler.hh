@@ -11,8 +11,8 @@
  *
  * Cost discipline mirrors obs/metrics.hh:
  *
- *   - disabled (the default), the segment loops check
- *     stepProfilingEnabled() once per *segment* and instantiate the
+ *   - disabled (the default), the replay loop (core/replay.hh)
+ *     checks stepProfilingEnabled() once per *run* and instantiates the
  *     un-profiled step body, whose StepTimer<false> is an empty type
  *     the optimizer deletes -- zero per-instruction cost;
  *   - enabled, un-sampled instructions pay one relaxed fetch_add plus
@@ -81,7 +81,7 @@ struct StepPhaseCell
 extern std::atomic<bool> gStepProfilingOn;
 extern std::atomic<uint32_t> gStepSampleMask;
 extern StepPhaseCell gStepCells[numStepFamilies][numStepPhases];
-/** All steps executed by profiled segment loops (sampled or not). */
+/** All steps executed by profiled replay loops (sampled or not). */
 extern std::atomic<uint64_t> gStepSteps[numStepFamilies];
 /** Steps that actually carried timers. */
 extern std::atomic<uint64_t> gStepSampled[numStepFamilies];
@@ -102,8 +102,8 @@ stepSampleThisStep()
 
 } // namespace detail
 
-/** @return true when step profiling is on. The segment loops key
- *  their step-body instantiation off this once per segment. */
+/** @return true when step profiling is on. The replay loop keys
+ *  its step-body instantiation off this once per run. */
 inline bool
 stepProfilingEnabled()
 {

@@ -20,7 +20,7 @@
  * Nothing is stored per non-event instruction: the pc chain is implied
  * (pc + 4 except taken branches), exactly the invariant the sift format
  * encodes. Replay then streams these arrays through a PackedStream --
- * the zero-virtual-call view the timing-model segment loops are
+ * the zero-virtual-call view the timing models' replay loop is
  * templated over -- or through a PackedCursor when a generic
  * vm::TraceSource is needed. Both emit streams bit-identical to a
  * SiftReader over the same recording.
@@ -42,8 +42,8 @@
 namespace raceval::vm
 {
 
-/** Per-static-instruction replay row (everything the segment loops
- *  read per instruction, packed into 8 bytes). */
+/** Per-static-instruction replay row (everything the replay loop
+ *  reads per instruction, packed into 8 bytes). */
 struct PackedStatic
 {
     uint8_t cls = 0;     //!< isa::OpClass
@@ -70,7 +70,7 @@ class PackedTrace
     static constexpr uint8_t flagBranch = 2;
     static constexpr uint8_t flagMem = 4;
     /** Bits [4:3] hold the precomputed isa::OpKind dispatch tag, so
-     *  the segment loops classify an instruction once with one shift
+     *  the replay loop classifies an instruction once with one shift
      *  instead of re-deriving class comparisons per dynamic
      *  instruction (always consistent with flagBranch/flagMem; the
      *  static-row tag golden test locks the encoding in). */
@@ -104,7 +104,7 @@ class PackedTrace
     const isa::DecodedInst &decodedAt(size_t i) const { return decoded[i]; }
 
     /** @return the packed replay row of static instruction word i (the
-     *  8-byte view the segment loops read). */
+     *  8-byte view the replay loop reads). */
     const PackedStatic &staticRow(size_t i) const { return statics[i]; }
 
     /** @return bytes held by the packed replay arrays (the stream the
@@ -133,7 +133,7 @@ class PackedTrace
 /**
  * Zero-virtual-call replay view over a PackedTrace.
  *
- * This is the "Stream" type the timing models' segment loops are
+ * This is the "Stream" type the timing models' replay loop is
  * templated over: next() advances to the next dynamic instruction and
  * the accessors expose exactly the fields the models read. Accessors
  * whose flag is not set on the current instruction return unspecified
@@ -229,12 +229,6 @@ class PackedStream
     /** @return static index of the current instruction. */
     size_t staticIndex() const { return curIndex; }
 
-    /** @return instructions consumed so far. */
-    uint64_t consumed() const { return done; }
-
-    /** @return true when the trace is fully consumed. */
-    bool atEnd() const { return done >= t->count; }
-
   private:
     const PackedTrace *t;
     uint64_t done = 0;
@@ -254,7 +248,7 @@ class PackedStream
 
 /**
  * Adapter giving a generic vm::TraceSource the same duck-typed stream
- * interface as PackedStream, so one templated segment loop serves both
+ * interface as PackedStream, so one templated replay loop serves both
  * the packed hot path and arbitrary sources (live functional
  * execution, sift replay) -- which is what makes the two paths
  * bit-identical by construction.

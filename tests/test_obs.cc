@@ -401,7 +401,8 @@ TEST(Trace, PackedReplayRecordsOnePassSpan)
             ->run(trace);
         json = obs::traceEventsJson();
     }
-    // A packed replay is one runSegment pass, announced as one span.
+    // A packed replay is one pass of the replay loop, announced as one
+    // span.
     size_t first = json.find("\"replay.pass\"");
     ASSERT_NE(first, std::string::npos);
     EXPECT_EQ(json.find("\"replay.pass\"", first + 1), std::string::npos);

@@ -1,6 +1,6 @@
-/** @file Packed-replay determinism tests: a core copied mid-run
- *  continues exactly like an uninterrupted run for every timing family,
- *  packed replay matches the generic TraceSource run, and the v3
+/** @file Packed-replay determinism tests: a core rerun on one trace
+ *  matches a fresh core for every timing family, packed replay matches
+ *  the generic TraceSource run, and the v3
  *  (sorted, mmap-able) EvalCache file format and its mapper under
  *  hostile input. */
 
@@ -17,7 +17,6 @@
 #include "core/inorder.hh"
 #include "core/interval.hh"
 #include "core/ooo.hh"
-#include "core/replay.hh"
 #include "core/timing_model.hh"
 #include "engine/engine.hh"
 #include "engine/eval_cache.hh"
@@ -73,65 +72,45 @@ const ModelFamily allFamilies[] = {ModelFamily::InOrder,
                                    ModelFamily::Interval};
 
 /**
- * Run half the trace through runSegment, copy-construct the core,
- * destroy the original, run the copy to the end and require the
- * uninterrupted run's stats. Catches any state a family's copy
- * constructor forgets to carry, or leaves pointing into the original.
+ * Run @p trace packed and then live on one core; both runs must equal
+ * a fresh core's. Catches any per-run state a family's reset leaves
+ * behind (step_cost reuses one model across its reps and relies on it).
  */
 template <class Model>
 void
-copyMidRunCheck(const core::CoreParams &params,
-                const vm::PackedTrace &trace, const std::string &what)
+rerunCheck(const core::CoreParams &params, const isa::Program &prog,
+           const vm::PackedTrace &trace, const std::string &what)
 {
-    Model reference(params);
-    core::CoreStats want = core::runPackedTrace(reference, trace);
-
-    auto first = std::make_unique<Model>(params);
-    first->beginRun();
-    vm::PackedStream stream(trace);
-    first->runSegment(stream, trace.instCount() / 2);
-    Model copy(*first);
-    first.reset();
-    copy.runSegment(stream, ~uint64_t{0});
-    expectBitIdentical(want, copy.finishRun(), what);
-}
-
-/** copyMidRunCheck for every built-in family. */
-void
-copyMidRunCheckAllFamilies(const core::CoreParams &params,
-                           const vm::PackedTrace &trace,
-                           const std::string &what)
-{
-    copyMidRunCheck<core::InOrderCore>(params, trace, what + "/inorder");
-    copyMidRunCheck<core::OooCore>(params, trace, what + "/ooo");
-    copyMidRunCheck<core::IntervalCore>(params, trace,
-                                        what + "/interval");
+    core::CoreStats want = Model(params).run(trace);
+    Model reused(params);
+    expectBitIdentical(want, reused.run(trace), what + " packed");
+    vm::FunctionalCore live(prog);
+    expectBitIdentical(want, reused.run(live), what + " live rerun");
 }
 
 } // namespace
 
-// ------------------------------------------------------ mid-run copies
+// ------------------------------------------------------------- reruns
 
-TEST(PackedReplay, CopyMidRunMatchesUninterruptedAllFamilies)
+// Branch-heavy and memory-striding ubenchs at a prime length: the
+// predictor, prefetcher and cache state a run leaves behind must not
+// reach the next run.
+TEST(PackedReplay, RerunOnOneCoreMatchesFreshCore)
 {
-    copyMidRunCheckAllFamilies(core::publicInfoA53(),
-                               packProgram(smallProgram("CCh", 10007)),
-                               "CCh");
-}
-
-// The copy point lands mid-pattern in branch-heavy and memory-striding
-// ubenchs (prime lengths): delta chains and predictor state straddle
-// it.
-TEST(PackedReplay, CopyMidRunStraddlingBranchAndMemPatterns)
-{
+    core::CoreParams params = core::publicInfoA53();
     const char *benches[] = {"CCh", "CRd", "MC", "MCS"};
     for (const char *name : benches) {
         const ubench::UbenchInfo *info = ubench::find(name);
         if (!info)
             continue; // suite membership varies; cover what exists
-        copyMidRunCheckAllFamilies(core::publicInfoA53(),
-                                   packProgram(info->builder(9973, true)),
-                                   name);
+        isa::Program prog = info->builder(9973, true);
+        vm::PackedTrace trace = packProgram(prog);
+        std::string what(name);
+        rerunCheck<core::InOrderCore>(params, prog, trace,
+                                      what + "/inorder");
+        rerunCheck<core::OooCore>(params, prog, trace, what + "/ooo");
+        rerunCheck<core::IntervalCore>(params, prog, trace,
+                                       what + "/interval");
     }
 }
 
@@ -158,10 +137,9 @@ namespace
 {
 
 /**
- * Drive every stream type through IntervalCore::runSegmentGeneric
- * (every instruction through the generic step body, no kind-tag
- * dispatch) and require exact agreement with the tagged fast path,
- * including across mid-run copies at awkward splits.
+ * Drive every stream type through IntervalCore::runGeneric (every
+ * instruction through the generic step body, no kind-tag dispatch) and
+ * require exact agreement with the tagged fast path.
  */
 void
 intervalFastVsGenericCheck(const core::CoreParams &params,
@@ -169,40 +147,17 @@ intervalFastVsGenericCheck(const core::CoreParams &params,
                            const vm::PackedTrace &trace,
                            const std::string &what)
 {
-    core::IntervalCore fast(params);
-    core::CoreStats want = core::runPackedTrace(fast, trace);
-
+    core::CoreStats want = core::IntervalCore(params).run(trace);
     {
-        core::IntervalCore m(params);
-        m.beginRun();
         vm::PackedStream s(trace);
-        m.runSegmentGeneric(s, ~uint64_t{0});
-        expectBitIdentical(want, m.finishRun(),
+        expectBitIdentical(want, core::IntervalCore(params).runGeneric(s),
                            what + " generic/packed");
     }
     {
-        core::IntervalCore m(params);
-        m.beginRun();
         vm::FunctionalCore live(prog);
         vm::SourceStream s(live);
-        m.runSegmentGeneric(s, ~uint64_t{0});
-        expectBitIdentical(want, m.finishRun(),
+        expectBitIdentical(want, core::IntervalCore(params).runGeneric(s),
                            what + " generic/source");
-    }
-    {
-        // Generic segments across mid-run copies must agree with the
-        // uninterrupted fast run.
-        core::IntervalCore a(params);
-        a.beginRun();
-        vm::PackedStream s(trace);
-        uint64_t split = trace.instCount() / 3 + 1;
-        a.runSegmentGeneric(s, split);
-        core::IntervalCore b(a);
-        b.runSegmentGeneric(s, split);
-        core::IntervalCore c(b);
-        c.runSegmentGeneric(s, ~uint64_t{0});
-        expectBitIdentical(want, c.finishRun(),
-                           what + " generic across copies");
     }
 }
 
@@ -210,11 +165,11 @@ intervalFastVsGenericCheck(const core::CoreParams &params,
 
 // Interval is the one family that keeps a separate plain-ALU fast
 // path: it and the kind-tag dispatch must be pure optimizations,
-// invisible in every counter, for every stream type and across
-// mid-run copies. Workloads cover the branchy, load-dominated and
-// store-dominated dynamic mixes so every stepSlow arm is exercised.
+// invisible in every counter, for every stream type. Workloads cover
+// the branchy, load-dominated and store-dominated dynamic mixes so
+// every stepSlow arm is exercised.
 // (In-order and OoO have one step body each; PackedReplay.* covers
-// their packed-vs-source and mid-run-copy identity.)
+// their packed-vs-source and rerun identity.)
 TEST(StepDispatch, IntervalFastVsGenericAllStreams)
 {
     core::CoreParams params = core::publicInfoA53();
