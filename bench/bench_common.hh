@@ -17,7 +17,6 @@
 #include "common/log.hh"
 #include "core/timing_model.hh"
 #include "engine/engine.hh"
-#include "obs/heartbeat.hh"
 #include "obs/step_profiler.hh"
 #include "obs/trace.hh"
 #include "scenario/scenario.hh"
@@ -177,26 +176,10 @@ tracePath()
     return path;
 }
 
-/** @return @p path with its ".json" suffix (when present) replaced by
- *  ".metrics.json", else with ".metrics.json" appended. */
-inline std::string
-metricsPathFor(const std::string &path)
-{
-    const std::string suffix = ".json";
-    if (path.size() >= suffix.size()
-        && path.compare(path.size() - suffix.size(), suffix.size(),
-                        suffix) == 0) {
-        return path.substr(0, path.size() - suffix.size())
-            + ".metrics.json";
-    }
-    return path + ".metrics.json";
-}
-
 /**
- * Finish the driver's telemetry: stop the heartbeat (final snapshot),
- * close the --trace session (writes the Chrome trace file) and, when
- * --json was given, drop a sibling <blob>.metrics.json with the final
- * metrics-registry snapshot. Idempotent; writeJson() calls it.
+ * Finish the driver's telemetry: print the --profile table and close
+ * the --trace session (writes the Chrome trace file). Idempotent;
+ * writeJson() calls it before writing the --json blob.
  */
 inline void
 finishTelemetry()
@@ -206,12 +189,8 @@ finishTelemetry()
         if (!report.empty())
             std::printf("\n%s", report.c_str());
     }
-    if (obs::heartbeatRunning())
-        obs::stopHeartbeat();
     if (obs::tracingActive())
         obs::stopTracing();
-    if (!jsonPath().empty())
-        obs::writeMetricsJson(metricsPathFor(jsonPath()));
 }
 
 /**
@@ -364,23 +343,13 @@ beginDriver(int argc, char **argv)
     }
 }
 
-/** Shared postamble of both arg parsers: open the --trace session and
- *  honor RACEVAL_HEARTBEAT=<seconds> (periodic metrics snapshots to
- *  stderr and, with --json, to the sibling metrics file). */
+/** Shared postamble of both arg parsers: open the --trace session
+ *  when --trace was given. */
 inline void
 beginTelemetry()
 {
     if (!tracePath().empty())
         obs::startTracing(tracePath());
-    if (const char *env = std::getenv("RACEVAL_HEARTBEAT")) {
-        obs::HeartbeatOptions hb;
-        double seconds = std::atof(env);
-        if (seconds > 0.0)
-            hb.intervalSeconds = seconds;
-        if (!jsonPath().empty())
-            hb.metricsJsonPath = metricsPathFor(jsonPath());
-        obs::startHeartbeat(hb);
-    }
 }
 
 /** @return the value after flag argv[i] (advancing i), or exit 2 with
@@ -465,8 +434,6 @@ parseDriverArgs(int argc, char **argv, const char *what)
                         "over (default per driver; see --list)\n"
                         "  RACEVAL_BUDGET=<n> overrides the racing "
                         "budget\n"
-                        "  RACEVAL_HEARTBEAT=<s> periodic metrics "
-                        "snapshots every <s> seconds\n"
                         "  RACEVAL_LOG=<level> log filter "
                         "(debug|info|warn|error|quiet)\n", argv[0],
                         what);

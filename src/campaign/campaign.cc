@@ -9,7 +9,6 @@
 #include "common/json_writer.hh"
 #include "common/log.hh"
 #include "engine/fingerprint.hh"
-#include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "scenario/scenario.hh"
 
@@ -252,7 +251,6 @@ CampaignRunner::runTask(size_t index, uint64_t fingerprint,
 {
     const CampaignTask &task = tasks[index];
     RV_SPAN("campaign.task", static_cast<uint64_t>(index));
-    RV_COUNTER_ADD("campaign.tasks_started", 1);
     SubsetEvaluator evaluator(engine, task);
     std::unique_ptr<tuner::SearchStrategy> strategy =
         tuner::makeSearchStrategy(
@@ -270,8 +268,6 @@ CampaignRunner::runTask(size_t index, uint64_t fingerprint,
     std::lock_guard<std::mutex> lock(mutex);
     outcomes[index] =
         TaskOutcome{task.name, std::move(result), wall, false};
-    RV_COUNTER_ADD("campaign.tasks_done", 1);
-    RV_GAUGE_ADD("campaign.pending_tasks", -1);
     if (!opts.checkpointPath.empty()) {
         RV_SPAN("campaign.checkpoint");
         upsertEntry(completed,
@@ -334,9 +330,6 @@ CampaignRunner::run()
             pending.push_back(i);
         }
     }
-
-    RV_GAUGE_SET("campaign.pending_tasks",
-                 static_cast<int64_t>(pending.size()));
 
     // Racer threads pull pending tasks off a shared counter; each
     // racing step is one whole engine batch, so concurrent tasks

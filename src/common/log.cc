@@ -141,7 +141,7 @@ logAt(LogLevel level, const char *fmt, ...)
 {
     // Deliberately not gated on the legacy quiet flag: setQuiet()
     // silences the warn()/inform() narration, while logAt() callers
-    // (e.g. the opt-in heartbeat) are filtered by level alone.
+    // are filtered by level alone.
     va_list args;
     va_start(args, fmt);
     std::string msg = vstrprintf(fmt, args);

@@ -4,8 +4,6 @@
 #include <atomic>
 #include <memory>
 
-#include "obs/metrics.hh"
-
 namespace raceval
 {
 
@@ -46,8 +44,6 @@ ThreadPool::workerLoop()
                 return;
             task = std::move(queue.front());
             queue.pop_front();
-            RV_GAUGE_SET("pool.queue_depth",
-                         static_cast<int64_t>(queue.size()));
         }
         task();
     }
@@ -83,8 +79,6 @@ ThreadPool::runAll(std::vector<std::function<void()>> tasks)
                     state->done.notify_all();
             });
         }
-        RV_GAUGE_SET("pool.queue_depth",
-                     static_cast<int64_t>(queue.size()));
     }
     wakeWorker.notify_all();
     std::unique_lock<std::mutex> lock(state->mutex);

@@ -45,7 +45,7 @@ EngineStats::summary() const
     out += strprintf(
         "        %llu requests -> %llu fresh evals (%llu replays, "
         "%llu warm-file hits) in "
-        "%.2f s = %.0f experiments/s; %llu batches "
+        "%.2f s = %.0f fresh evals/s; %llu batches "
         "(%llu submitted, %llu deduplicated)",
         static_cast<unsigned long long>(requests),
         static_cast<unsigned long long>(evaluations),
@@ -81,7 +81,7 @@ EngineStats::json() const
         .field("fresh_evals", evaluations)
         .field("warm_file_hits", warmFileHits)
         .field("eval_seconds", evalSeconds)
-        .field("experiments_per_s", experimentsPerSecond())
+        .field("fresh_evals_per_s", experimentsPerSecond())
         .field("batches", batches)
         .field("batch_submitted", batchSubmissions)
         .field("batch_deduplicated", batchDeduplicated)
@@ -92,45 +92,11 @@ EngineStats::json() const
     return w.str();
 }
 
-std::vector<obs::Sample>
-EngineStats::samples() const
-{
-    auto n = [](uint64_t v) { return static_cast<double>(v); };
-    return {
-        {"instances", n(bank.instances)},
-        {"recordings", n(bank.recordings)},
-        {"recorded_insts", n(bank.recordedInsts)},
-        {"resident_bytes", n(bank.residentBytes)},
-        {"replays", n(bank.replays)},
-        {"cache_hits", n(cache.hits)},
-        {"cache_misses", n(cache.misses)},
-        {"cache_hit_rate", cache.hitRate()},
-        {"cache_entries", n(cache.entries)},
-        {"requests", n(requests)},
-        {"fresh_evals", n(evaluations)},
-        {"warm_file_hits", n(warmFileHits)},
-        {"eval_seconds", evalSeconds},
-        {"experiments_per_s", experimentsPerSecond()},
-        {"batches", n(batches)},
-        {"batch_submitted", n(batchSubmissions)},
-        {"batch_deduplicated", n(batchDeduplicated)},
-        {"insts_simulated", n(instsSimulated)},
-        {"ns_per_inst", nsPerInst()},
-        {"simulated_mips", simulatedMips()},
-    };
-}
-
 // ------------------------------------------------------------ EvalEngine
 
 EvalEngine::EvalEngine(core::ModelFamily family, EngineOptions options)
     : fam(family), pool(options.threads)
 {
-    // Export this engine's aggregate stats through the registry; the
-    // heartbeat reporter and the metrics blobs pull them at snapshot
-    // time. The handle unregisters in ~EvalEngine before any sampled
-    // member dies.
-    obsSource = obs::MetricRegistry::instance().addSource(
-        "engine", [this] { return stats().samples(); });
 }
 
 size_t
@@ -233,15 +199,8 @@ EvalEngine::computeFresh(core::ModelFamily family,
     if (warmLookup(family, model, instance, domain, served))
         return served;
 
-    auto fresh_start = std::chrono::steady_clock::now();
     core::CoreStats run = replayRun(family, model, instance);
     instsSimulatedCount += run.instructions;
-    RV_HISTOGRAM_RECORD(
-        "engine.eval_ns",
-        static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - fresh_start)
-                .count()));
     return scoreRun(run, instance, domain);
 }
 
@@ -475,12 +434,6 @@ BatchEvaluator::collect()
             runSolo(slots[fresh[k]]);
         });
         engine.chargeWall(start);
-        RV_HISTOGRAM_RECORD(
-            "engine.batch_ns",
-            static_cast<uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - start)
-                    .count()));
     }
     ++engine.batches;
     collected = true;

@@ -17,7 +17,8 @@
  *     later runs;
  *   - a BatchEvaluator executes a whole racing step as one
  *     deduplicated batch over the thread pool;
- *   - EngineStats reports the resulting experiments/s to the drivers.
+ *   - EngineStats reports the resulting fresh evals/s to the drivers
+ *     (budget-charged experiments/s is CampaignStats' number).
  */
 
 #ifndef RACEVAL_ENGINE_ENGINE_HH
@@ -35,7 +36,6 @@
 
 #include "common/thread_pool.hh"
 #include "core/params.hh"
-#include "obs/metrics.hh"
 #include "core/stats.hh"
 #include "core/timing_model.hh"
 #include "engine/eval_cache.hh"
@@ -103,10 +103,6 @@ struct EngineStats
 
     /** JSON object (for the --json bench blobs). */
     std::string json() const;
-
-    /** Flat samples for the metrics registry (the engine registers a
-     *  pull source named "engine"; names match the json() keys). */
-    std::vector<obs::Sample> samples() const;
 };
 
 /**
@@ -381,10 +377,6 @@ class EvalEngine : public tuner::CostEvaluator
     std::atomic<uint64_t> batchDeduplicated{0};
     std::atomic<uint64_t> instsSimulatedCount{0};
     std::atomic<uint64_t> evalNanos{0};
-
-    /** Registry pull source exporting stats() (released before the
-     *  members it samples are destroyed -- keep it last). */
-    obs::MetricRegistry::SourceHandle obsSource;
 };
 
 /**

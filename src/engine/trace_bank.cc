@@ -2,7 +2,6 @@
 
 #include "common/log.hh"
 #include "engine/fingerprint.hh"
-#include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "vm/functional.hh"
 
@@ -65,8 +64,6 @@ TraceBank::record(Entry &entry)
             ++counters.recordings;
             counters.recordedInsts += insts;
             counters.residentBytes += entry.trace->packedBytes();
-            RV_GAUGE_SET("bank.resident_bytes",
-                         static_cast<int64_t>(counters.residentBytes));
         }
         RV_INSTANT("bank.admit", insts);
     });

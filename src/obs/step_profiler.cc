@@ -3,10 +3,8 @@
 #include <chrono>
 #include <cstdio>
 #include <mutex>
-#include <vector>
 
 #include "common/log.hh"
-#include "obs/metrics.hh"
 
 namespace raceval::obs
 {
@@ -52,7 +50,6 @@ using detail::gStepSteps;
 std::mutex gAnchorMutex;
 uint64_t gAnchorTick = 0;
 uint64_t gAnchorNs = 0;
-MetricRegistry::SourceHandle gSourceHandle;
 
 uint64_t
 wallNs()
@@ -108,38 +105,6 @@ snapshotRows(FamilyRows out[numStepFamilies])
     }
 }
 
-std::vector<Sample>
-profileSamples()
-{
-    FamilyRows rows[numStepFamilies];
-    snapshotRows(rows);
-    double tpns = ticksPerNs();
-    std::vector<Sample> out;
-    for (size_t f = 0; f < numStepFamilies; ++f) {
-        const FamilyRows &r = rows[f];
-        if (r.sampled == 0)
-            continue;
-        double denom = static_cast<double>(r.sampled) * tpns;
-        std::string fam = stepFamilyName(static_cast<unsigned>(f));
-        for (size_t p = 0; p < numStepPhases; ++p) {
-            if (r.phases[p].samples == 0)
-                continue;
-            out.push_back(
-                {fam + "."
-                     + stepPhaseName(static_cast<StepPhase>(p))
-                     + "_ns_per_inst",
-                 static_cast<double>(r.phases[p].ticks) / denom});
-        }
-        out.push_back({fam + ".ns_per_inst",
-                       static_cast<double>(r.totalTicks) / denom});
-        out.push_back(
-            {fam + ".steps", static_cast<double>(r.steps)});
-        out.push_back(
-            {fam + ".sampled", static_cast<double>(r.sampled)});
-    }
-    return out;
-}
-
 } // namespace
 
 const char *
@@ -171,7 +136,6 @@ setStepProfiling(bool on, unsigned sample_shift)
     if (!on) {
         detail::gStepProfilingOn.store(false,
                                        std::memory_order_relaxed);
-        gSourceHandle.release();
         return;
     }
     RV_ASSERT(sample_shift < 31,
@@ -193,10 +157,6 @@ setStepProfiling(bool on, unsigned sample_shift)
         gAnchorTick = detail::stepTick();
         gAnchorNs = wallNs();
     }
-#ifndef RACEVAL_DISABLE_OBS
-    gSourceHandle = MetricRegistry::instance().addSource(
-        "step_profile", [] { return profileSamples(); });
-#endif
     detail::gStepProfilingOn.store(true, std::memory_order_relaxed);
 }
 

@@ -9,7 +9,7 @@
  * issue / mem / branch / retire) per core family, using rdtsc-style
  * scoped timers on a 1-in-2^k sample of instructions.
  *
- * Cost discipline mirrors obs/metrics.hh:
+ * Cost discipline:
  *
  *   - disabled (the default), the replay loop (core/replay.hh)
  *     checks stepProfilingEnabled() once per *run* and instantiates the
@@ -17,15 +17,11 @@
  *     the optimizer deletes -- zero per-instruction cost;
  *   - enabled, un-sampled instructions pay one relaxed fetch_add plus
  *     a thread-local decimation counter; sampled instructions pay one
- *     timestamp read per phase boundary;
- *   - under -DRACEVAL_DISABLE_OBS stepProfilingEnabled() is constant
- *     false, so the profiled instantiation is dead code (compiled out
- *     like the RV_* macros).
+ *     timestamp read per phase boundary.
  *
  * Surfacing: `--profile` on the bench drivers (bench/bench_common.hh)
- * enables it; the accumulated table is printed at exit, embedded in
- * the --json blob, and exported through the metrics registry as a
- * "step_profile" pull source.
+ * enables it; the accumulated table is printed at exit and embedded
+ * in the --json blob as its "step_profile" object.
  */
 
 #ifndef RACEVAL_OBS_STEP_PROFILER_HH
@@ -107,20 +103,15 @@ stepSampleThisStep()
 inline bool
 stepProfilingEnabled()
 {
-#ifdef RACEVAL_DISABLE_OBS
-    return false;
-#else
     return detail::gStepProfilingOn.load(std::memory_order_relaxed);
-#endif
 }
 
 /**
  * Enable / disable step profiling.
  *
- * Enabling zeroes the accumulators, records a calibration anchor for
- * tick-to-nanosecond conversion and registers the "step_profile"
- * metrics-registry source; disabling unregisters it (accumulated data
- * stays readable until the next enable).
+ * Enabling zeroes the accumulators and records a calibration anchor
+ * for tick-to-nanosecond conversion; disabling stops accumulation
+ * (accumulated data stays readable until the next enable).
  *
  * @param on new state.
  * @param sample_shift sample 1 in 2^sample_shift instructions.

@@ -61,8 +61,8 @@ struct TraceState
 TraceState &
 state()
 {
-    // Immortal for the same reason as MetricRegistry::instance():
-    // spans can record from static destructors during exit teardown.
+    // Immortal: spans can record from static destructors during exit
+    // teardown, after a function-local static would be destroyed.
     static TraceState *s = new TraceState();
     return *s;
 }

@@ -23,9 +23,7 @@
  * spans: race.run / race.iteration / race.step, engine.batch /
  * engine.eval, replay.pass (one per packed replay), bank.record,
  * cache.save / cache.map, campaign.task / campaign.checkpoint;
- * instants: bank.admit / heartbeat.tick.
- *
- * -DRACEVAL_DISABLE_OBS compiles RV_SPAN / RV_INSTANT to nothing.
+ * instants: bank.admit.
  */
 
 #ifndef RACEVAL_OBS_TRACE_HH
@@ -152,8 +150,7 @@ class Span
     bool hasArg = false;
 };
 
-/** Record a zero-duration instant event (residency decisions,
- *  heartbeat ticks). */
+/** Record a zero-duration instant event (residency decisions). */
 inline void
 instant(const char *static_name) noexcept
 {
@@ -173,16 +170,11 @@ instant(const char *static_name, uint64_t arg) noexcept
 #define RV_OBS_CONCAT2(a, b) a##b
 #define RV_OBS_CONCAT(a, b) RV_OBS_CONCAT2(a, b)
 
-#ifndef RACEVAL_DISABLE_OBS
 /** Scoped span covering the rest of the enclosing block. */
 #define RV_SPAN(...)                                                    \
     ::raceval::obs::Span RV_OBS_CONCAT(rvObsSpan, __LINE__){__VA_ARGS__}
 /** Zero-duration instant event. */
 #define RV_INSTANT(...) ::raceval::obs::instant(__VA_ARGS__)
-#else
-#define RV_SPAN(...) do { } while (0)
-#define RV_INSTANT(...) do { } while (0)
-#endif
 
 } // namespace raceval::obs
 

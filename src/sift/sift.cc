@@ -82,8 +82,7 @@ encodeTrace(const isa::Program &prog, vm::TraceSource &source)
         }
     }
 
-    std::vector<uint8_t> out;
-    out.insert(out.end(), magic, magic + sizeof(magic));
+    std::vector<uint8_t> out(magic, magic + sizeof(magic));
     putVarint(out, prog.name.size());
     out.insert(out.end(), prog.name.begin(), prog.name.end());
     putVarint(out, prog.codeBase);

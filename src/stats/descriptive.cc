@@ -50,23 +50,6 @@ median(std::vector<double> xs)
 }
 
 double
-percentile(std::vector<double> xs, double p)
-{
-    RV_ASSERT(p >= 0.0 && p <= 100.0, "percentile p=%g", p);
-    if (xs.empty())
-        return 0.0;
-    std::sort(xs.begin(), xs.end());
-    // Linear interpolation between closest ranks (Hyndman-Fan type 7,
-    // the numpy/R default): rank = p/100 * (n-1).
-    double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
-    size_t lo = static_cast<size_t>(rank);
-    if (lo + 1 >= xs.size())
-        return xs.back();
-    double frac = rank - static_cast<double>(lo);
-    return xs[lo] + frac * (xs[lo + 1] - xs[lo]);
-}
-
-double
 geomean(const std::vector<double> &xs)
 {
     if (xs.empty())

@@ -24,14 +24,6 @@ double stddev(const std::vector<double> &xs);
 /** Median (average of middle two for even n); 0 for empty input. */
 double median(std::vector<double> xs);
 
-/**
- * Percentile with linear interpolation between closest ranks
- * (Hyndman-Fan type 7, the numpy/R default); @p p in [0, 100].
- * 0 for empty input. The reference the obs::Histogram percentile
- * estimates are tested against.
- */
-double percentile(std::vector<double> xs, double p);
-
 /** Geometric mean; inputs must be positive. */
 double geomean(const std::vector<double> &xs);
 

@@ -1,9 +1,8 @@
 /**
  * @file
- * Unit tests for the telemetry layer: metrics registry (counters,
- * gauges, histograms, pull sources), span tracing (ring buffers,
- * Chrome trace rendering, determinism), the heartbeat reporter, the
- * shared JsonWriter and the pluggable log sink.
+ * Unit tests for the telemetry layer: span tracing (ring buffers,
+ * Chrome trace rendering, determinism, the engine's per-evaluation
+ * spans), the shared JsonWriter and the pluggable log sink.
  */
 
 #include <gtest/gtest.h>
@@ -15,14 +14,10 @@
 
 #include "common/json_writer.hh"
 #include "common/log.hh"
-#include "common/rng.hh"
-#include "common/thread_pool.hh"
 #include "core/timing_model.hh"
 #include "core/params.hh"
-#include "obs/heartbeat.hh"
-#include "obs/metrics.hh"
+#include "engine/engine.hh"
 #include "obs/trace.hh"
-#include "stats/descriptive.hh"
 #include "tuner/race.hh"
 #include "ubench/ubench.hh"
 #include "vm/functional.hh"
@@ -48,6 +43,18 @@ struct TraceSession
     }
     const char *path;
 };
+
+/** @return occurrences of events named @p name in a rendered trace. */
+size_t
+countSpans(const std::string &json, const char *name)
+{
+    std::string needle = std::string("\"name\": \"") + name + "\"";
+    size_t n = 0;
+    for (size_t pos = json.find(needle); pos != std::string::npos;
+         pos = json.find(needle, pos + needle.size()))
+        ++n;
+    return n;
+}
 
 } // namespace
 
@@ -95,150 +102,6 @@ TEST(JsonWriter, RawFieldSplicesNestedDocument)
     JsonWriter outer;
     outer.beginObject().rawField("in", inner.str()).endObject();
     EXPECT_EQ(outer.str(), "{\"in\": {\"x\": 7}}");
-}
-
-// ------------------------------------------------------------- Histogram
-
-TEST(Histogram, BucketBoundsArePowersOfTwo)
-{
-    EXPECT_EQ(obs::Histogram::bucketOf(0), 0u);
-    EXPECT_EQ(obs::Histogram::bucketOf(1), 1u);
-    EXPECT_EQ(obs::Histogram::bucketOf(2), 2u);
-    EXPECT_EQ(obs::Histogram::bucketOf(3), 2u);
-    EXPECT_EQ(obs::Histogram::bucketOf(4), 3u);
-    for (size_t b = 1; b < 20; ++b) {
-        EXPECT_EQ(obs::Histogram::bucketOf(obs::Histogram::bucketLo(b)),
-                  b);
-        EXPECT_EQ(obs::Histogram::bucketOf(obs::Histogram::bucketHi(b)),
-                  b);
-    }
-    EXPECT_EQ(obs::Histogram::bucketOf(~uint64_t{0}),
-              obs::Histogram::kBuckets - 1);
-}
-
-TEST(Histogram, PercentileTracksExactWithinOneBucket)
-{
-    // The histogram estimate must stay within the winning power-of-two
-    // bucket of the exact sample percentile from stats/descriptive.
-    Rng rng(123);
-    obs::Histogram h;
-    std::vector<double> exact;
-    for (int i = 0; i < 20000; ++i) {
-        // Skewed latency-like distribution across several decades.
-        uint64_t v = rng.nextBelow(1000) * rng.nextBelow(1000);
-        h.record(v);
-        exact.push_back(static_cast<double>(v));
-    }
-    for (double p : {50.0, 90.0, 99.0}) {
-        double want = stats::percentile(exact, p);
-        double got = h.percentile(p);
-        size_t bucket = obs::Histogram::bucketOf(
-            static_cast<uint64_t>(want));
-        EXPECT_GE(got,
-                  static_cast<double>(obs::Histogram::bucketLo(bucket)))
-            << "p" << p;
-        EXPECT_LE(got,
-                  static_cast<double>(obs::Histogram::bucketHi(bucket))
-                      + 1.0)
-            << "p" << p;
-    }
-}
-
-TEST(Histogram, SnapshotAggregates)
-{
-    obs::Histogram h;
-    for (uint64_t v = 1; v <= 100; ++v)
-        h.record(v);
-    obs::HistogramSnapshot snap = h.snapshot();
-    EXPECT_EQ(snap.count, 100u);
-    EXPECT_DOUBLE_EQ(snap.mean, 50.5);
-    EXPECT_EQ(snap.max, 100u);
-    EXPECT_GT(snap.p99, snap.p50);
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
-}
-
-// -------------------------------------------------------------- Registry
-
-TEST(MetricRegistry, CountersSurviveConcurrentIncrements)
-{
-    obs::MetricRegistry &reg = obs::MetricRegistry::instance();
-    reg.resetForTest();
-    obs::Counter &c = reg.counter("test.concurrent");
-    ThreadPool pool(4);
-    pool.parallelFor(1000, [&](size_t) {
-        for (int k = 0; k < 100; ++k)
-            c.add(1);
-    });
-    EXPECT_EQ(c.value(), 100000u);
-    reg.resetForTest();
-}
-
-TEST(MetricRegistry, FindOrCreateReturnsStableReferences)
-{
-    obs::MetricRegistry &reg = obs::MetricRegistry::instance();
-    reg.resetForTest();
-    obs::Counter &a = reg.counter("test.stable");
-    // Force the map to grow; the reference must stay valid.
-    for (int i = 0; i < 100; ++i)
-        reg.counter(strprintf("test.filler%d", i));
-    obs::Counter &b = reg.counter("test.stable");
-    EXPECT_EQ(&a, &b);
-    reg.resetForTest();
-}
-
-TEST(MetricRegistry, MacrosCacheTheirMetric)
-{
-    obs::MetricRegistry &reg = obs::MetricRegistry::instance();
-    reg.resetForTest();
-    for (int i = 0; i < 5; ++i)
-        RV_COUNTER_ADD("test.macro_counter", 2);
-    RV_GAUGE_SET("test.macro_gauge", 17);
-    RV_HISTOGRAM_RECORD("test.macro_histo", 32);
-#ifndef RACEVAL_DISABLE_OBS
-    EXPECT_EQ(reg.counter("test.macro_counter").value(), 10u);
-    EXPECT_EQ(reg.gauge("test.macro_gauge").value(), 17);
-    EXPECT_EQ(reg.histogram("test.macro_histo").count(), 1u);
-#endif
-    reg.resetForTest();
-}
-
-TEST(MetricRegistry, SourcesAppearInSnapshotsAndUnregister)
-{
-    obs::MetricRegistry &reg = obs::MetricRegistry::instance();
-    reg.resetForTest();
-    {
-        obs::MetricRegistry::SourceHandle handle = reg.addSource(
-            "testsrc", [] {
-                return std::vector<obs::Sample>{{"alpha", 1.5}};
-            });
-        obs::MetricRegistry::Snapshot snap = reg.snapshot();
-        ASSERT_EQ(snap.sources.size(), 1u);
-        EXPECT_EQ(snap.sources[0].first, "testsrc");
-        ASSERT_EQ(snap.sources[0].second.size(), 1u);
-        EXPECT_EQ(snap.sources[0].second[0].name, "alpha");
-        EXPECT_DOUBLE_EQ(snap.sources[0].second[0].value, 1.5);
-    }
-    // Handle released: the source must be gone.
-    EXPECT_TRUE(reg.snapshot().sources.empty());
-    reg.resetForTest();
-}
-
-TEST(MetricRegistry, JsonIsBalancedAndCarriesMetrics)
-{
-    obs::MetricRegistry &reg = obs::MetricRegistry::instance();
-    reg.resetForTest();
-    reg.counter("test.json_counter").add(3);
-    reg.gauge("test.json_gauge").set(-4);
-    reg.histogram("test.json_histo").record(7);
-    std::string json = reg.json();
-    EXPECT_NE(json.find("\"test.json_counter\": 3"), std::string::npos);
-    EXPECT_NE(json.find("\"test.json_gauge\": -4"), std::string::npos);
-    EXPECT_NE(json.find("\"test.json_histo\""), std::string::npos);
-    EXPECT_NE(json.find("\"p99\""), std::string::npos);
-    EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-              std::count(json.begin(), json.end(), '}'));
-    reg.resetForTest();
 }
 
 // ----------------------------------------------------------------- Spans
@@ -408,45 +271,42 @@ TEST(Trace, PackedReplayRecordsOnePassSpan)
     EXPECT_EQ(json.find("\"replay.pass\"", first + 1), std::string::npos);
 }
 
-// ------------------------------------------------------------- Heartbeat
-
-TEST(Heartbeat, StopTakesFinalSnapshotAndWritesMetricsFile)
+TEST(Trace, EngineBatchRecordsOneEvalSpanPerFreshEval)
 {
-    const char *path = "test_obs_heartbeat.metrics.json";
-    obs::MetricRegistry::instance().resetForTest();
-    obs::MetricRegistry::instance().counter("test.hb").add(5);
-    obs::HeartbeatOptions opts;
-    opts.intervalSeconds = 60.0; // only the final stop tick fires
-    opts.metricsJsonPath = path;
-    opts.logLine = false;
-    obs::startHeartbeat(opts);
-    EXPECT_TRUE(obs::heartbeatRunning());
-    obs::stopHeartbeat();
-    EXPECT_FALSE(obs::heartbeatRunning());
+    // The engine.eval / replay.pass spans are the only record of
+    // per-evaluation latency: one of each per fresh slot, none for a
+    // duplicate ticket or a cache hit, and one engine.batch per wave.
+    const ubench::UbenchInfo *info = ubench::find("MC");
+    ASSERT_NE(info, nullptr);
+    engine::EvalEngine eng(core::ModelFamily::InOrder,
+                           engine::EngineOptions{2});
+    size_t id = eng.addInstance(info->builder(4000, true));
 
-    std::FILE *file = std::fopen(path, "r");
-    ASSERT_NE(file, nullptr);
-    std::string text(1 << 16, '\0');
-    size_t n = std::fread(text.data(), 1, text.size(), file);
-    std::fclose(file);
-    text.resize(n);
-    std::remove(path);
-    EXPECT_NE(text.find("\"uptime_seconds\""), std::string::npos);
-    EXPECT_NE(text.find("\"test.hb\": 5"), std::string::npos);
-    obs::MetricRegistry::instance().resetForTest();
-}
+    const unsigned fresh = 3;
+    std::vector<core::CoreParams> models(fresh + 1,
+                                         core::publicInfoA53());
+    for (unsigned i = 0; i <= fresh; ++i)
+        models[i].mispredictPenalty = 4 + i;
+    // Recorded and cached before the session: a cache hit below.
+    eng.evaluateModel(models[fresh], id);
 
-TEST(Heartbeat, WriteMetricsJsonWorksWithoutAReporter)
-{
-    const char *path = "test_obs_once.metrics.json";
-    obs::MetricRegistry::instance().resetForTest();
-    obs::MetricRegistry::instance().gauge("test.once").set(11);
-    EXPECT_GT(obs::writeMetricsJson(path), 0u);
-    std::FILE *file = std::fopen(path, "r");
-    ASSERT_NE(file, nullptr);
-    std::fclose(file);
-    std::remove(path);
-    obs::MetricRegistry::instance().resetForTest();
+    std::string json;
+    {
+        TraceSession session("test_obs_engine.json");
+        engine::BatchEvaluator batch(eng);
+        for (unsigned i = 0; i < fresh; ++i)
+            batch.submitModel(models[i], id);
+        batch.submitModel(models[0], id); // duplicate ticket
+        batch.submitModel(models[1], id); // duplicate ticket
+        batch.submitModel(models[fresh], id); // cache hit
+        EXPECT_EQ(batch.submitted(), fresh + 3);
+        batch.collect();
+        json = obs::traceEventsJson();
+    }
+    EXPECT_EQ(eng.stats().evaluations, fresh + 1);
+    EXPECT_EQ(countSpans(json, "engine.eval"), fresh);
+    EXPECT_EQ(countSpans(json, "replay.pass"), fresh);
+    EXPECT_EQ(countSpans(json, "engine.batch"), 1u);
 }
 
 // --------------------------------------------------------------- LogSink
