@@ -28,14 +28,15 @@ main(int argc, char **argv)
 
     validate::FlowOptions opts = bench::benchFlowOptions();
     opts.budget = bench::budgetFromEnv(2400);
-    validate::ValidationFlow flow(false, opts);
+    const scenario::TargetBoard &board = bench::benchTarget("cortex-a53");
+    validate::ValidationFlow flow(board, board.defaultFamily, opts);
     validate::FlowReport report = flow.run();
     const auto &sspace = flow.paramSpace();
     size_t num_ubench = ubench::all().size();
 
     // Random search at the same budget, through the registry: the
     // flow's engine is the evaluator (its model fn was set by run(),
-    // its cost domain is the racing objective), so the baseline
+    // its cost metric is the racing objective), so the baseline
     // evaluates exactly what racing evaluated. A different seed keeps
     // its samples decorrelated from irace's.
     tuner::RacerOptions random_opts;

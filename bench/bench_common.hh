@@ -114,7 +114,7 @@ benchSuite(const char *fallback)
 inline void
 setSuiteArg(const char *argv0, const std::string &name)
 {
-    if (!scenario::ScenarioRegistry::instance().findSuite(name)) {
+    if (!scenario::findSuite(name)) {
         std::fprintf(stderr, "%s: unknown workload suite '%s' "
                      "(try --list)\n", argv0, name.c_str());
         std::exit(2);
@@ -237,18 +237,18 @@ writeJson(const engine::EngineStats *engine_stats = nullptr)
 
 /**
  * `--list`: enumerate everything a driver can be pointed at -- the
- * registered timing-model families, the search strategies, the
- * validation target boards (--target), the workload suites with their
- * hold-out roles, the micro-benchmark suite and the SPEC stand-in
- * workloads. Target and suite rows come straight from the
- * ScenarioRegistry, so a registered extension shows up in every driver
+ * timing-model families, the search strategies, the validation target
+ * boards (--target), the workload suites with their hold-out roles,
+ * the micro-benchmark suite and the SPEC stand-in workloads. Every
+ * section is rendered from its table (core::modelFamilies(),
+ * scenario::targets(), ...), so a new row shows up in every driver
  * without touching any of them.
  */
 inline void
 printList()
 {
     std::printf("timing-model families:\n");
-    for (const auto &info : core::TimingModelRegistry::instance().all())
+    for (const auto &info : core::modelFamilies())
         std::printf("  %-9s %s\n", info.name, info.description);
 
     std::printf("\nsearch strategies (--strategy):\n");
@@ -257,8 +257,7 @@ printList()
         std::printf("  %-9s %s\n", info.name, info.description);
 
     std::printf("\nvalidation target boards (--target):\n");
-    for (const auto &board :
-         scenario::ScenarioRegistry::instance().targets()) {
+    for (const auto &board : scenario::targets()) {
         std::string families;
         for (core::ModelFamily family : board.families) {
             if (!families.empty())
@@ -270,8 +269,7 @@ printList()
     }
 
     std::printf("\nworkload suites:\n");
-    for (const auto &suite :
-         scenario::ScenarioRegistry::instance().workloadSuites()) {
+    for (const auto &suite : scenario::workloadSuites()) {
         std::printf("  %-14s %-9s %s\n", suite.name,
                     scenario::workloadRoleName(suite.role),
                     suite.description);
@@ -320,7 +318,7 @@ setStrategyArg(const char *argv0, const std::string &name)
 inline void
 setTargetArg(const char *argv0, const std::string &name)
 {
-    if (!scenario::ScenarioRegistry::instance().findTarget(name)) {
+    if (!scenario::findTarget(name)) {
         std::fprintf(stderr, "%s: unknown target board '%s' "
                      "(try --list)\n", argv0, name.c_str());
         std::exit(2);
@@ -433,10 +431,7 @@ parseDriverArgs(int argc, char **argv, const char *what)
                         "  --suite <name>     workload suite to tune "
                         "over (default per driver; see --list)\n"
                         "  RACEVAL_BUDGET=<n> overrides the racing "
-                        "budget\n"
-                        "  RACEVAL_LOG=<level> log filter "
-                        "(debug|info|warn|error|quiet)\n", argv[0],
-                        what);
+                        "budget\n", argv[0], what);
             std::exit(0);
         } else if (arg == "--smoke") {
             smokeMode() = true;

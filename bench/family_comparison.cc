@@ -5,7 +5,7 @@
  * racing, tuned model) runs once per family and the per-family untuned
  * vs tuned mean micro-benchmark CPI errors land side by side.
  *
- * By default every registered family races its pre-scenario board
+ * By default every model family races its pre-scenario board
  * (in-order and interval against the A53-class board, OoO against the
  * A72-class board). With an explicit --target <board> the sweep
  * narrows to that board's whitelisted families -- e.g.
@@ -51,8 +51,7 @@ main(int argc, char **argv)
         for (core::ModelFamily family : board.families)
             runs.emplace_back(family, &board);
     } else {
-        for (const core::TimingModelInfo &info :
-             core::TimingModelRegistry::instance().all()) {
+        for (const core::ModelFamilyInfo &info : core::modelFamilies()) {
             runs.emplace_back(info.family,
                               &scenario::defaultTargetFor(info.family));
         }

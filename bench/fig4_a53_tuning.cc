@@ -24,7 +24,9 @@ main(int argc, char **argv)
     bench::header("Fig. 4: A53 micro-benchmark CPI error, "
                   "not tuned vs tuned");
 
-    validate::ValidationFlow flow(false, bench::benchFlowOptions());
+    const scenario::TargetBoard &board = bench::benchTarget("cortex-a53");
+    validate::ValidationFlow flow(board, board.defaultFamily,
+                                  bench::benchFlowOptions());
     validate::FlowReport report = flow.run();
 
     std::printf("%-12s %10s %10s %10s %12s %12s\n", "ubench", "hw CPI",

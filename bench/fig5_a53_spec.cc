@@ -24,7 +24,9 @@ main(int argc, char **argv)
     bench::header("Fig. 5: tuned A53 model vs hardware on SPEC "
                   "CPU2017 stand-ins");
 
-    validate::ValidationFlow flow(false, bench::benchFlowOptions());
+    const scenario::TargetBoard &board = bench::benchTarget("cortex-a53");
+    validate::ValidationFlow flow(board, board.defaultFamily,
+                                  bench::benchFlowOptions());
     validate::FlowReport report = flow.run();
 
     std::printf("%-11s %10s %10s %10s\n", "benchmark", "hw CPI",

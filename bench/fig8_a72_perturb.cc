@@ -23,7 +23,9 @@ main(int argc, char **argv)
     setQuiet(true);
     bench::header("Fig. 8: near-optimum perturbation, A72");
 
-    validate::ValidationFlow flow(true, bench::benchFlowOptions());
+    const scenario::TargetBoard &board = bench::benchTarget("cortex-a72");
+    validate::ValidationFlow flow(board, board.defaultFamily,
+                                  bench::benchFlowOptions());
     validate::FlowReport report = flow.run();
     const auto &sspace = flow.paramSpace();
     const core::CoreParams &base = report.publicModel;

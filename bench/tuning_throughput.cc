@@ -131,8 +131,7 @@ timedRace(Fn &&make_racer)
 }
 
 /** One pre-engine race: live functional execution per fresh pair,
- *  memoized and parallelized by a SimpleCostEvaluator (exactly what
- *  the racer's CostFn convenience path wraps). */
+ *  memoized and parallelized by a SimpleCostEvaluator. */
 PathResult
 racePreEngine()
 {
@@ -144,7 +143,7 @@ racePreEngine()
         core::InOrderCore sim(model);
         return t.cpiError(sim.run(source), t.programs[instance]);
     };
-    tuner::SimpleCostEvaluator live_eval(live, t.ropts.threads);
+    tuner::SimpleCostEvaluator live_eval(live);
     return timedRace([&] {
         auto strategy = tuner::makeSearchStrategy(
             bench::strategyName(), t.sspace.space(), live_eval,

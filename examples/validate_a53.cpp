@@ -34,7 +34,8 @@ main(int argc, char **argv)
     validate::FlowOptions opts;
     opts.budget = smoke ? 300 : 2000; // paper: 10K-100K trials
     opts.verbose = true;
-    validate::ValidationFlow flow(/*out_of_order=*/false, opts);
+    validate::ValidationFlow flow(scenario::targetOrDie("cortex-a53"),
+                                  core::ModelFamily::InOrder, opts);
     validate::FlowReport report = flow.run();
 
     std::printf("\nprobed latencies: l1d=%u cycles, l2=%u cycles\n",

@@ -22,7 +22,7 @@ namespace
  * The racer-facing view of one task: maps the racer's task-local
  * instance indices onto the shared engine's instance ids, materializes
  * configurations through the task's own model fn, and scores through
- * the task's cost domain. Every racing step stays one deduplicated
+ * the engine's cost metric. Every racing step stays one deduplicated
  * engine batch, so concurrent tasks interleave whole batches at the
  * shared ThreadPool.
  */
@@ -44,8 +44,7 @@ class SubsetEvaluator : public tuner::CostEvaluator
         tickets.reserve(pairs.size());
         for (const auto &[config, local] : pairs) {
             tickets.push_back(batch.submitModel(
-                family, task.modelFn(config), task.instances[local],
-                task.costDomain));
+                family, task.modelFn(config), task.instances[local]));
         }
         batch.collect();
         std::vector<double> costs;
@@ -149,9 +148,9 @@ taskFingerprint(const engine::EvalEngine &engine,
         .mix(engine::fingerprint(task.modelFn(hi)));
 
     // The cost metric by its cache-key tag (the engine's documented
-    // metric identity), not the domain index: a changed objective must
-    // invalidate checkpoint entries even when it reuses a slot.
-    fp.mix(engine.costDomainTag(task.costDomain));
+    // metric identity): a changed objective must invalidate checkpoint
+    // entries.
+    fp.mix(engine.costTag());
     fp.mix(uint64_t{task.initialCandidates.size()});
     for (const tuner::Configuration &config : task.initialCandidates)
         fp.mix(engine::fingerprint(config));
@@ -220,17 +219,13 @@ CampaignRunner::addTask(CampaignTask task)
                   "campaign task '%s': instance %zu not registered",
                   task.name.c_str(), id);
     }
-    RV_ASSERT(task.costDomain < engine.numCostDomains(),
-              "campaign task '%s': cost domain %zu not registered",
-              task.name.c_str(), task.costDomain);
     RV_ASSERT(task.strategy.empty()
                   || tuner::SearchStrategyRegistry::instance().find(
                          task.strategy) != nullptr,
               "campaign task '%s': unknown search strategy '%s'",
               task.name.c_str(), task.strategy.c_str());
     RV_ASSERT(task.target.empty()
-                  || scenario::ScenarioRegistry::instance().findTarget(
-                         task.target) != nullptr,
+                  || scenario::findTarget(task.target) != nullptr,
               "campaign task '%s': unknown target board '%s'",
               task.name.c_str(), task.target.c_str());
     RV_ASSERT(task.racer.maxExperiments > 0,
@@ -275,13 +270,6 @@ CampaignRunner::runTask(size_t index, uint64_t fingerprint,
                                     outcomes[index].result});
         saveCheckpoint(opts.checkpointPath, completed);
     }
-    if (opts.verbose) {
-        inform("campaign: %s done (%llu experiments, %.2f s, best "
-               "cost %.4f)", task.name.c_str(),
-               static_cast<unsigned long long>(
-                   outcomes[index].result.experimentsUsed),
-               wall, outcomes[index].result.bestMeanCost);
-    }
 }
 
 CampaignResult
@@ -291,11 +279,6 @@ CampaignRunner::run()
     RV_ASSERT(!tasks.empty(), "campaign: no tasks");
     ran = true;
     auto start = std::chrono::steady_clock::now();
-
-    // Map the shared warm-start file before any task races: every
-    // racer thread binary-searches the same read-only pages.
-    if (!opts.warmStartPath.empty())
-        engine.mapWarmFile(opts.warmStartPath);
 
     CampaignResult out;
     out.tasks.resize(tasks.size());
@@ -322,10 +305,6 @@ CampaignRunner::run()
         if (hit) {
             out.tasks[i] =
                 TaskOutcome{tasks[i].name, hit->result, 0.0, true};
-            if (opts.verbose) {
-                inform("campaign: %s restored from checkpoint",
-                       tasks[i].name.c_str());
-            }
         } else {
             pending.push_back(i);
         }

@@ -13,8 +13,8 @@
  * while keeping its race-local budget and bit-identical trajectory:
  *
  *   - each CampaignTask races its own parameter space / model
- *     materializer / workload subset / seed, scored through one of the
- *     engine's cost domains;
+ *     materializer / workload subset / seed, scored through the
+ *     engine's cost metric;
  *   - the scheduler runs tasks on a small pool of racer threads, so
  *     whole racing-step batches from different tasks interleave at the
  *     engine and keep its ThreadPool saturated;
@@ -62,8 +62,6 @@ struct CampaignTask
     /** Engine instance ids of this task's workload subset; racer
      *  instance t is engine instance instances[t]. */
     std::vector<size_t> instances;
-    /** Engine cost domain scoring this task (0 = engine default). */
-    size_t costDomain = 0;
     /** Timing-model family this task races (empty = the engine's
      *  default family). Tasks of different families share the engine's
      *  TraceBank and EvalCache; keys are family-salted, so their
@@ -76,12 +74,13 @@ struct CampaignTask
      *  irace (explicit or defaulted) contributes nothing, keeping
      *  pre-strategy checkpoints valid. */
     std::string strategy;
-    /** Registered target board this task validates against ("" = not
-     *  target-scoped). Covered by the checkpoint task fingerprint via
-     *  the board's fingerprint salt, with the same asymmetry as the
-     *  strategy: the zero-salt pre-scenario boards (cortex-a53 /
-     *  cortex-a72, explicit or via "") mix nothing, so pre-scenario
-     *  checkpoints stay valid for exactly those tasks. */
+    /** Target board (see scenario::targets()) this task validates
+     *  against ("" = not target-scoped). Covered by the checkpoint
+     *  task fingerprint via the board's fingerprint salt, with the
+     *  same asymmetry as the strategy: the zero-salt pre-scenario
+     *  boards (cortex-a53 / cortex-a72, explicit or via "") mix
+     *  nothing, so pre-scenario checkpoints stay valid for exactly
+     *  those tasks. */
     std::string target;
     /** Racing knobs: budget, seed replicate, elimination params. */
     tuner::RacerOptions racer;
@@ -100,16 +99,6 @@ struct CampaignOptions
      *  whose task fingerprint still matches are restored instead of
      *  re-raced; the file is rewritten after every task completion. */
     std::string checkpointPath;
-    /** Warm-start cache file ("" = none): a v3 EvalCache file (see
-     *  EvalEngine::saveCache) mmap'd read-only into the shared engine
-     *  at run() start, so the whole task fleet serves repeat
-     *  experiments from one page-cache copy without loading it onto
-     *  the heap. The campaign never writes this file; produce it with
-     *  saveCache() from a previous run. Missing or incompatible files
-     *  warn and race cold. */
-    std::string warmStartPath;
-    /** Narrate task completions via inform(). */
-    bool verbose = false;
 };
 
 /** Outcome of one task. */
@@ -184,14 +173,15 @@ class CampaignRunner
   public:
     /**
      * @param engine the shared evaluation engine; every task's
-     *        instances and cost domain must already be registered.
+     *        instances must already be registered (a warm file, when
+     *        wanted, is mapped with EvalEngine::mapWarmFile()).
      * @param options scheduling knobs.
      */
     explicit CampaignRunner(engine::EvalEngine &engine,
                             CampaignOptions options = {});
 
     /** Add a task (validated: unique name, non-empty workload subset,
-     *  registered instances/domain, a space and a model fn). */
+     *  registered instances, a space and a model fn). */
     void addTask(CampaignTask task);
 
     /** @return tasks added so far. */

@@ -3,23 +3,15 @@
  * Status and error reporting, following the gem5 logging discipline:
  * panic() for internal invariant violations (simulator bugs), fatal() for
  * user errors the simulation cannot continue from, warn()/inform() for
- * non-fatal status messages.
- *
- * Non-fatal messages route through a pluggable sink with severity
- * levels, so a daemon can swap the default stderr printer for a
- * machine-parseable (e.g. JSON-lines) emitter without touching call
- * sites. The RACEVAL_LOG environment variable filters by severity
- * (debug | info | warn | error | quiet); setQuiet() keeps its historic
- * meaning of silencing warn()/inform() wholesale. panic()/fatal()
- * always write to stderr directly -- they terminate the process and
- * must never be swallowed by a broken sink.
+ * non-fatal status messages. Every message is one "<kind>: <text>"
+ * line on stderr; setQuiet() silences warn()/inform(), never
+ * panic()/fatal().
  */
 
 #ifndef RACEVAL_COMMON_LOG_HH
 #define RACEVAL_COMMON_LOG_HH
 
 #include <cstdarg>
-#include <functional>
 #include <string>
 
 namespace raceval
@@ -36,51 +28,6 @@ std::string strprintf(const char *fmt, ...)
 
 /** va_list flavour of strprintf(). */
 std::string vstrprintf(const char *fmt, va_list args);
-
-/** Severity of a non-fatal log message. */
-enum class LogLevel : uint8_t
-{
-    Debug = 0, //!< development tracing (dropped by default)
-    Info,      //!< normal operating status (inform())
-    Warn,      //!< suspicious but survivable (warn())
-    Error      //!< survivable errors; never filtered by level
-};
-
-/** @return stable lowercase name ("debug" / "info" / "warn" /
- *  "error"). */
-const char *logLevelName(LogLevel level);
-
-/**
- * Message consumer: receives the severity and the formatted message
- * (no trailing newline). Must be thread-safe; called with the log
- * mutex NOT held.
- */
-using LogSink = std::function<void(LogLevel, const std::string &)>;
-
-/**
- * Install a log sink (replacing the default stderr printer); an empty
- * function restores the default. Level filtering and setQuiet() apply
- * before the sink sees a message.
- */
-void setLogSink(LogSink sink);
-
-/** Minimum severity that reaches the sink (default Info; overridden
- *  once at startup by RACEVAL_LOG, then by explicit calls). */
-void setLogLevel(LogLevel level);
-
-/** @return the current minimum severity. */
-LogLevel logLevel();
-
-/**
- * Re-read the RACEVAL_LOG environment filter (debug | info | warn |
- * error | quiet). Applied automatically before the first message;
- * exposed for tests and for daemons that mutate their environment.
- */
-void applyLogLevelFromEnv();
-
-/** Emit a message at an explicit severity through the sink. */
-void logAt(LogLevel level, const char *fmt, ...)
-    __attribute__((format(printf, 2, 3)));
 
 /**
  * Report an internal invariant violation and abort().
@@ -100,14 +47,14 @@ void logAt(LogLevel level, const char *fmt, ...)
 [[noreturn]] void fatal(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-/** Report a suspicious but survivable condition (LogLevel::Warn). */
+/** Report a suspicious but survivable condition ("warn: ..."). */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/** Report normal operating status (LogLevel::Info). */
+/** Report normal operating status ("info: ..."). */
 void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/** Globally silence warn()/inform() (used by benches for clean tables).
- *  Error-level messages still pass. */
+/** Globally silence warn()/inform() (used by benches for clean
+ *  tables). */
 void setQuiet(bool quiet);
 
 /** @return true when warn()/inform() are suppressed. */

@@ -1,6 +1,6 @@
 /**
  * @file
- * The timing-model registry: one polymorphic seam between "a tunable
+ * The timing-model families: one polymorphic seam between "a tunable
  * core model family" and everything that consumes simulation results.
  *
  * The paper tunes Sniper, which ships several interchangeable core
@@ -9,17 +9,18 @@
  * from the same CoreParams, replays the same dynamic traces, and emits
  * the same CoreStats -- so the validation flow, the evaluation engine,
  * the campaign orchestrator and the drivers select a family by tag
- * instead of naming concrete core classes. New families register a
- * factory and become raceable without touching any consumer.
+ * instead of naming concrete core classes. The families form a fixed
+ * table (modelFamilies()); adding one is a new enum value, a table row
+ * and a makeTimingModel() case.
  */
 
 #ifndef RACEVAL_CORE_TIMING_MODEL_HH
 #define RACEVAL_CORE_TIMING_MODEL_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/params.hh"
 #include "core/stats.hh"
@@ -63,59 +64,27 @@ class TimingModel
     virtual const CoreParams &params() const = 0;
 };
 
-/** Factory signature of one registered family. */
-using TimingModelFactory =
-    std::unique_ptr<TimingModel> (*)(const CoreParams &params);
-
-/** Registry entry: identity + construction of one model family. */
-struct TimingModelInfo
+/** Identity of one model family: one row of modelFamilies(). */
+struct ModelFamilyInfo
 {
-    ModelFamily family = ModelFamily::InOrder;
-    const char *name = "";        //!< stable CLI/report tag
-    const char *description = ""; //!< one-line --list blurb
+    ModelFamily family;
+    const char *name;        //!< stable CLI/report tag
+    const char *description; //!< one-line --list blurb
     /**
      * Cache-key salt folded into every engine fingerprint of an
      * evaluation run under this family. CoreParams content carries no
      * family distinction (the same struct configures every model), so
      * without this salt a shared or persisted EvalCache would alias
-     * results across families. Must be distinct per family and stable
-     * across versions (persisted caches depend on it).
+     * results across families. Distinct per family and stable across
+     * versions (persisted caches depend on it).
      */
-    uint64_t fingerprintSalt = 0;
-    TimingModelFactory make = nullptr;
+    uint64_t fingerprintSalt;
 };
 
-/**
- * Declaration-ordered family registry. The three built-in families are
- * pre-registered; registerFamily() is the extension point for
- * out-of-tree models (they reuse one of the ModelFamily tags only if
- * they replace it, so extensions normally just add new entries looked
- * up by name).
- */
-class TimingModelRegistry
-{
-  public:
-    /** @return the process-wide registry. */
-    static TimingModelRegistry &instance();
+/** @return the fixed family table, indexed by ModelFamily. */
+const std::array<ModelFamilyInfo, numModelFamilies> &modelFamilies();
 
-    /** @return the entry for a built-in family tag. */
-    const TimingModelInfo &info(ModelFamily family) const;
-
-    /** @return the entry named @p name, or nullptr when unknown. */
-    const TimingModelInfo *find(const std::string &name) const;
-
-    /** @return all registered families, declaration order. */
-    const std::vector<TimingModelInfo> &all() const { return entries; }
-
-    /** Register a family (fatal on duplicate name or salt). */
-    void registerFamily(const TimingModelInfo &info);
-
-  private:
-    TimingModelRegistry();
-    std::vector<TimingModelInfo> entries;
-};
-
-/** Construct a timing model of a family (through the registry). */
+/** Construct a timing model of a family. */
 std::unique_ptr<TimingModel> makeTimingModel(ModelFamily family,
                                              const CoreParams &params);
 
@@ -129,7 +98,7 @@ uint64_t modelFamilySalt(ModelFamily family);
  * Parse a family name ("inorder" / "ooo" / "interval").
  *
  * @param[out] out the parsed tag (untouched on failure).
- * @return true when @p name names a registered family.
+ * @return true when @p name names a family.
  */
 bool parseModelFamily(const std::string &name, ModelFamily &out);
 

@@ -107,18 +107,18 @@ EvalEngine::addInstance(const isa::Program &program)
 
 EvalKey
 EvalEngine::modelKey(core::ModelFamily family,
-                     const core::CoreParams &model, size_t instance,
-                     size_t domain) const
+                     const core::CoreParams &model,
+                     size_t instance) const
 {
     // One key family for everything: raced configurations are
     // materialized first and keyed by model content, so racing, error
     // reports and perturbation sweeps all share cache entries. The
-    // domain's cost tag keeps different metrics apart; the timing
+    // cost tag keeps different metrics apart; the timing
     // family's salt keeps model families apart (CoreParams content
     // alone cannot -- the same struct configures every family).
     return EvalKey{Fingerprinter::mix64(
                        fingerprint(model)
-                       ^ Fingerprinter::mix64(domains[domain].tag)
+                       ^ Fingerprinter::mix64(costTagValue)
                        ^ Fingerprinter::mix64(
                            core::modelFamilySalt(family))),
                    instance};
@@ -162,14 +162,14 @@ EvalEngine::programFingerprint(size_t instance) const
 bool
 EvalEngine::warmLookup(core::ModelFamily family,
                        const core::CoreParams &model, size_t instance,
-                       size_t domain, EvalValue &out)
+                       EvalValue &out)
 {
     // A mapped warm file answers before any simulation runs. Its keys
     // carry the program fingerprint (not the bank-local id), as
     // saveCache() writes them.
     if (!warm)
         return false;
-    EvalKey disk_key{modelKey(family, model, instance, domain).model,
+    EvalKey disk_key{modelKey(family, model, instance).model,
                      programFingerprint(instance)};
     if (!warm->lookup(disk_key, out))
         return false;
@@ -178,30 +178,27 @@ EvalEngine::warmLookup(core::ModelFamily family,
 }
 
 EvalValue
-EvalEngine::scoreRun(const core::CoreStats &run, size_t instance,
-                     size_t domain)
+EvalEngine::scoreRun(const core::CoreStats &run, size_t instance)
 {
-    const SimCostFn &cost = domains[domain].fn;
     EvalValue value;
     value.simCpi = run.cpi();
-    value.cost = cost ? cost(run, instance) : value.simCpi;
+    value.cost = costFn ? costFn(run, instance) : value.simCpi;
     ++evaluations;
     return value;
 }
 
 EvalValue
 EvalEngine::computeFresh(core::ModelFamily family,
-                         const core::CoreParams &model, size_t instance,
-                         size_t domain)
+                         const core::CoreParams &model, size_t instance)
 {
     RV_SPAN("engine.eval", static_cast<uint64_t>(instance));
     EvalValue served;
-    if (warmLookup(family, model, instance, domain, served))
+    if (warmLookup(family, model, instance, served))
         return served;
 
     core::CoreStats run = replayRun(family, model, instance);
     instsSimulatedCount += run.instructions;
-    return scoreRun(run, instance, domain);
+    return scoreRun(run, instance);
 }
 
 void
@@ -243,12 +240,12 @@ EvalEngine::evaluateModel(core::ModelFamily family,
                           const core::CoreParams &model, size_t instance)
 {
     ++requests;
-    EvalKey key = modelKey(family, model, instance, 0);
+    EvalKey key = modelKey(family, model, instance);
     EvalValue value;
     if (cache.lookup(key, value))
         return value;
     auto start = std::chrono::steady_clock::now();
-    value = computeFresh(family, model, instance, 0);
+    value = computeFresh(family, model, instance);
     chargeWall(start);
     cache.insert(key, value);
     return value;
@@ -364,21 +361,19 @@ BatchEvaluator::submit(const tuner::Configuration &config, size_t instance)
 
 BatchEvaluator::Ticket
 BatchEvaluator::submitModel(const core::CoreParams &model,
-                            size_t instance, size_t domain)
+                            size_t instance)
 {
-    return submitModel(engine.fam, model, instance, domain);
+    return submitModel(engine.fam, model, instance);
 }
 
 BatchEvaluator::Ticket
 BatchEvaluator::submitModel(core::ModelFamily family,
                             const core::CoreParams &model,
-                            size_t instance, size_t domain)
+                            size_t instance)
 {
-    RV_ASSERT(domain < engine.domains.size(),
-              "batch: unknown cost domain %zu", domain);
     ++engine.requests;
     ++engine.batchSubmissions;
-    EvalKey key = engine.modelKey(family, model, instance, domain);
+    EvalKey key = engine.modelKey(family, model, instance);
     uint64_t mixed = mixedKey(key);
     auto it = slotIndex.find(mixed);
     if (it != slotIndex.end()) {
@@ -390,7 +385,6 @@ BatchEvaluator::submitModel(core::ModelFamily family,
     Slot slot;
     slot.key = key;
     slot.instance = instance;
-    slot.domain = domain;
     slot.family = family;
     if (engine.cache.lookup(key, slot.value))
         slot.served = true;
@@ -406,8 +400,8 @@ BatchEvaluator::submitModel(core::ModelFamily family,
 void
 BatchEvaluator::runSolo(Slot &slot)
 {
-    slot.value = engine.computeFresh(slot.family, slot.model,
-                                     slot.instance, slot.domain);
+    slot.value =
+        engine.computeFresh(slot.family, slot.model, slot.instance);
     engine.cache.insert(slot.key, slot.value);
     slot.served = true;
 }

@@ -138,7 +138,7 @@ class EvalEngine : public tuner::CostEvaluator
   public:
     /**
      * @param family the default timing-model family replayed into.
-     *        Per-call overloads may evaluate any registered family
+     *        Per-call overloads may evaluate any model family
      *        over the same TraceBank and EvalCache: every cache key is
      *        salted with the family's fingerprint, so results never
      *        alias across families.
@@ -186,7 +186,7 @@ class EvalEngine : public tuner::CostEvaluator
     void setModelFn(ModelFn fn) { modelFn = std::move(fn); }
 
     /**
-     * Set the default cost metric (cost domain 0).
+     * Set the cost metric.
      *
      * @param fn the metric; when unset, cost = simulated CPI.
      * @param cost_tag salt folded into every cache key so results from
@@ -195,43 +195,13 @@ class EvalEngine : public tuner::CostEvaluator
     void
     setCostFn(SimCostFn fn, uint64_t cost_tag)
     {
-        domains[0].fn = std::move(fn);
-        domains[0].tag = cost_tag;
+        costFn = std::move(fn);
+        costTagValue = cost_tag;
     }
 
-    /**
-     * Register an additional cost metric and return its domain id.
-     *
-     * Cost domains let independent consumers (e.g. the racing tasks of
-     * a campaign, each scoring against its own hardware target) share
-     * one engine -- and therefore one TraceBank and one EvalCache --
-     * without their objective values ever aliasing: the domain tag is
-     * salted into every cache key. Domain 0 is the setCostFn default.
-     *
-     * Register domains before evaluation starts; registration is not
-     * synchronized against concurrent evaluation.
-     *
-     * @param fn the metric (thread-safe, deterministic).
-     * @param cost_tag per-domain cache-key salt; give distinct metrics
-     *        distinct tags.
-     */
-    size_t
-    addCostDomain(SimCostFn fn, uint64_t cost_tag)
-    {
-        domains.push_back(CostDomain{std::move(fn), cost_tag});
-        return domains.size() - 1;
-    }
-
-    /** @return registered cost-domain count (>= 1: the default). */
-    size_t numCostDomains() const { return domains.size(); }
-
-    /** @return a domain's cache-key salt (the metric's identity, e.g.
-     *  for content fingerprints of work keyed to this domain). */
-    uint64_t
-    costDomainTag(size_t domain) const
-    {
-        return domains[domain].tag;
-    }
+    /** @return the cost metric's cache-key salt (its identity, e.g.
+     *  for content fingerprints of work scored by this engine). */
+    uint64_t costTag() const { return costTagValue; }
 
     /// @name Evaluation
     /// @{
@@ -321,16 +291,9 @@ class EvalEngine : public tuner::CostEvaluator
   private:
     friend class BatchEvaluator;
 
-    /** One registered cost metric (see addCostDomain). */
-    struct CostDomain
-    {
-        SimCostFn fn;     //!< nullptr = simulated CPI
-        uint64_t tag = 0; //!< cache-key salt
-    };
-
     EvalKey modelKey(core::ModelFamily family,
-                     const core::CoreParams &model, size_t instance,
-                     size_t domain) const;
+                     const core::CoreParams &model,
+                     size_t instance) const;
     /** Apply the model fn (asserts one is set). */
     core::CoreParams materialize(const tuner::Configuration &config)
         const;
@@ -338,14 +301,13 @@ class EvalEngine : public tuner::CostEvaluator
      *  file first. Timing models run only here. */
     EvalValue computeFresh(core::ModelFamily family,
                            const core::CoreParams &model,
-                           size_t instance, size_t domain);
+                           size_t instance);
     /** Consult the mapped warm file. @return true when served. */
     bool warmLookup(core::ModelFamily family,
                     const core::CoreParams &model, size_t instance,
-                    size_t domain, EvalValue &out);
-    /** Score a finished replay through a domain's cost metric. */
-    EvalValue scoreRun(const core::CoreStats &run, size_t instance,
-                       size_t domain);
+                    EvalValue &out);
+    /** Score a finished replay through the cost metric. */
+    EvalValue scoreRun(const core::CoreStats &run, size_t instance);
     /** Content fingerprint of an instance's program (memoized; the
      *  instance half of on-disk cache keys). */
     uint64_t programFingerprint(size_t instance) const;
@@ -357,8 +319,8 @@ class EvalEngine : public tuner::CostEvaluator
     EvalCache cache;
     ThreadPool pool;
     ModelFn modelFn;
-    /** Registered cost metrics; [0] is the setCostFn default. */
-    std::vector<CostDomain> domains{1};
+    SimCostFn costFn;          //!< nullptr = simulated CPI
+    uint64_t costTagValue = 0; //!< cache-key salt of costFn
 
     /** Instances marked held out (never raced); see markHeldOut(). */
     std::vector<bool> heldOutFlags;
@@ -398,15 +360,9 @@ class BatchEvaluator
     /** Queue a raced configuration; @return the result ticket. */
     Ticket submit(const tuner::Configuration &config, size_t instance);
 
-    /**
-     * Queue a raw model (replayed into the engine's default family);
-     * @return the result ticket.
-     *
-     * @param domain cost domain scoring this experiment (0 = the
-     *        engine's setCostFn default).
-     */
-    Ticket submitModel(const core::CoreParams &model, size_t instance,
-                       size_t domain = 0);
+    /** Queue a raw model (replayed into the engine's default family);
+     *  @return the result ticket. */
+    Ticket submitModel(const core::CoreParams &model, size_t instance);
 
     /**
      * Queue a raw model under an explicit timing family. One batch may
@@ -414,8 +370,7 @@ class BatchEvaluator
      * different families never deduplicate into each other.
      */
     Ticket submitModel(core::ModelFamily family,
-                       const core::CoreParams &model, size_t instance,
-                       size_t domain = 0);
+                       const core::CoreParams &model, size_t instance);
 
     /** Evaluate every pending slot; idempotent. */
     void collect();
@@ -437,7 +392,6 @@ class BatchEvaluator
     {
         EvalKey key;
         size_t instance;
-        size_t domain = 0;
         core::ModelFamily family = core::ModelFamily::InOrder;
         core::CoreParams model; //!< unused once served
         EvalValue value;

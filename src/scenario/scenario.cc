@@ -89,164 +89,104 @@ workloadRoleName(WorkloadRole role)
     }
 }
 
-ScenarioRegistry &
-ScenarioRegistry::instance()
+const std::vector<TargetBoard> &
+targets()
 {
-    static ScenarioRegistry registry;
-    return registry;
-}
-
-ScenarioRegistry::ScenarioRegistry()
-{
-    // The two pre-scenario boards. Salt 0 is deliberate back-compat:
-    // every checkpoint and warm EvalCache file written before this
-    // layer existed must keep resolving to the same keys (tested in
-    // test_scenario.cc). Their model families never overlap, so the
-    // family salt already keeps their cache entries apart.
-    TargetBoard a53;
-    a53.name = "cortex-a53";
-    a53.description =
-        "RK3399 'little' cluster: dual-issue in-order A-class board";
-    a53.outOfOrderHw = false;
-    a53.defaultFamily = core::ModelFamily::InOrder;
-    a53.families = {core::ModelFamily::InOrder,
-                    core::ModelFamily::Interval};
-    a53.fingerprintSalt = 0;
-    a53.secret = hw::secretA53;
-    a53.publicInfo = core::publicInfoA53;
-    boards.push_back(std::move(a53));
-
-    TargetBoard a72;
-    a72.name = "cortex-a72";
-    a72.description =
-        "RK3399 'big' cluster: 3-wide out-of-order A-class board";
-    a72.outOfOrderHw = true;
-    a72.defaultFamily = core::ModelFamily::Ooo;
-    a72.families = {core::ModelFamily::Ooo};
-    a72.fingerprintSalt = 0;
-    a72.secret = hw::secretA72;
-    a72.publicInfo = core::publicInfoA72;
-    boards.push_back(std::move(a72));
-
-    // The microcontroller-class scenario (ROADMAP: scenario
-    // diversity). Nonzero salt ("M-class1" in ASCII) because its
-    // in-order hardware shares model families with the A53 board --
-    // without it a shared warm cache could alias the two. All three
-    // families may model it: the point of the scenario is stressing
-    // the tuner where the paper never went.
-    TargetBoard mclass;
-    mclass.name = "cortex-m-class";
-    mclass.description =
-        "microcontroller-class board: single-issue, no L2, flat "
-        "TCM-like memory, tiny BTB";
-    mclass.outOfOrderHw = false;
-    mclass.defaultFamily = core::ModelFamily::InOrder;
-    mclass.families = {core::ModelFamily::InOrder, core::ModelFamily::Ooo,
-                       core::ModelFamily::Interval};
-    mclass.fingerprintSalt = 0x4d2d636c61737331ull; // "M-class1"
-    mclass.secret = hw::secretCortexM;
-    mclass.publicInfo = core::publicInfoCortexM;
-    mclass.clamp.hasL2 = false;
-    // Short-pipeline flush costs, tiny BTBs, wait-stated SRAM instead
-    // of DDR: the default A-class levels do not even contain the
-    // M-class ground truth, so the clamp is what makes the race
-    // winnable (and keeps it from burning budget on DDR latencies).
-    mclass.clamp.mispredictPenaltyLevels = {1, 2, 3, 4, 5, 6, 8};
-    mclass.clamp.btbBitsLevels = {3, 4, 5, 6, 7, 8};
-    mclass.clamp.dramLatencyLevels = {4, 6, 8, 9, 12, 16, 24};
-    mclass.clamp.dramCyclesPerLineLevels = {1, 2, 3, 4, 6};
-    boards.push_back(std::move(mclass));
-
-    WorkloadSuite ub;
-    ub.name = "ubench";
-    ub.description = "Table I micro-benchmarks (the tuning suite)";
-    ub.role = WorkloadRole::Tuning;
-    ub.count = ubenchCount;
-    ub.nameAt = ubenchNameAt;
-    ub.buildAt = ubenchBuildAt;
-    suites.push_back(ub);
-
-    WorkloadSuite spec;
-    spec.name = "spec2017";
-    spec.description =
-        "Table II SPEC CPU2017 stand-ins (held out from tuning)";
-    spec.role = WorkloadRole::HeldOut;
-    spec.count = specCount;
-    spec.nameAt = specNameAt;
-    spec.buildAt = specBuildAt;
-    suites.push_back(spec);
-
-    WorkloadSuite fw;
-    fw.name = "firmware";
-    fw.description =
-        "firmware-shaped long traces (dispatch loop, timer wheel, "
-        "list walk)";
-    fw.role = WorkloadRole::Firmware;
-    fw.count = firmwareCount;
-    fw.nameAt = firmwareNameAt;
-    fw.buildAt = firmwareBuildAt;
-    suites.push_back(fw);
+    static const std::vector<TargetBoard> table = {
+        // The two pre-scenario boards. Salt 0 is deliberate
+        // back-compat: every checkpoint and warm EvalCache file written
+        // before this layer existed must keep resolving to the same
+        // keys (tested in test_scenario.cc). Their model families never
+        // overlap, so the family salt already keeps their cache entries
+        // apart.
+        {.name = "cortex-a53",
+         .description =
+             "RK3399 'little' cluster: dual-issue in-order A-class "
+             "board",
+         .outOfOrderHw = false,
+         .defaultFamily = core::ModelFamily::InOrder,
+         .families = {core::ModelFamily::InOrder,
+                      core::ModelFamily::Interval},
+         .fingerprintSalt = 0,
+         .secret = hw::secretA53,
+         .publicInfo = core::publicInfoA53,
+         .clamp = {}},
+        {.name = "cortex-a72",
+         .description =
+             "RK3399 'big' cluster: 3-wide out-of-order A-class board",
+         .outOfOrderHw = true,
+         .defaultFamily = core::ModelFamily::Ooo,
+         .families = {core::ModelFamily::Ooo},
+         .fingerprintSalt = 0,
+         .secret = hw::secretA72,
+         .publicInfo = core::publicInfoA72,
+         .clamp = {}},
+        // The microcontroller-class scenario. Nonzero salt ("M-class1"
+        // in ASCII) because its in-order hardware shares model
+        // families with the A53 board -- without it a shared warm
+        // cache could alias the two. All three families may model it:
+        // the point of the scenario is stressing the tuner where the
+        // paper never went. Short-pipeline flush costs, tiny BTBs,
+        // wait-stated SRAM instead of DDR: the default A-class levels
+        // do not even contain the M-class ground truth, so the clamp
+        // is what makes the race winnable (and keeps it from burning
+        // budget on DDR latencies).
+        {.name = "cortex-m-class",
+         .description =
+             "microcontroller-class board: single-issue, no L2, flat "
+             "TCM-like memory, tiny BTB",
+         .outOfOrderHw = false,
+         .defaultFamily = core::ModelFamily::InOrder,
+         .families = {core::ModelFamily::InOrder, core::ModelFamily::Ooo,
+                      core::ModelFamily::Interval},
+         .fingerprintSalt = 0x4d2d636c61737331ull, // "M-class1"
+         .secret = hw::secretCortexM,
+         .publicInfo = core::publicInfoCortexM,
+         .clamp = {.hasL2 = false,
+                   .mispredictPenaltyLevels = {1, 2, 3, 4, 5, 6, 8},
+                   .btbBitsLevels = {3, 4, 5, 6, 7, 8},
+                   .dramLatencyLevels = {4, 6, 8, 9, 12, 16, 24},
+                   .dramCyclesPerLineLevels = {1, 2, 3, 4, 6}}},
+    };
+    return table;
 }
 
 const TargetBoard *
-ScenarioRegistry::findTarget(const std::string &name) const
+findTarget(const std::string &name)
 {
-    for (const TargetBoard &board : boards) {
+    for (const TargetBoard &board : targets()) {
         if (name == board.name)
             return &board;
     }
     return nullptr;
 }
 
-void
-ScenarioRegistry::registerTarget(TargetBoard board)
+const std::vector<WorkloadSuite> &
+workloadSuites()
 {
-    RV_ASSERT(board.name != nullptr && board.name[0] != '\0',
-              "scenario: target needs a name");
-    RV_ASSERT(board.secret != nullptr && board.publicInfo != nullptr,
-              "scenario: target '%s' needs secret + publicInfo",
-              board.name);
-    RV_ASSERT(!board.families.empty(),
-              "scenario: target '%s' allows no model family",
-              board.name);
-    RV_ASSERT(board.fingerprintSalt != 0,
-              "scenario: target '%s' needs a nonzero fingerprint salt "
-              "(salt 0 is reserved for the pre-scenario boards)",
-              board.name);
-    for (const TargetBoard &existing : boards) {
-        RV_ASSERT(std::string(existing.name) != board.name,
-                  "scenario: duplicate target name '%s'", board.name);
-        RV_ASSERT(existing.fingerprintSalt != board.fingerprintSalt,
-                  "scenario: target '%s' reuses the salt of '%s'",
-                  board.name, existing.name);
-    }
-    boards.push_back(std::move(board));
+    static const std::vector<WorkloadSuite> table = {
+        {"ubench", "Table I micro-benchmarks (the tuning suite)",
+         WorkloadRole::Tuning, ubenchCount, ubenchNameAt, ubenchBuildAt},
+        {"spec2017",
+         "Table II SPEC CPU2017 stand-ins (held out from tuning)",
+         WorkloadRole::HeldOut, specCount, specNameAt, specBuildAt},
+        {"firmware",
+         "firmware-shaped long traces (dispatch loop, timer wheel, "
+         "list walk)",
+         WorkloadRole::Firmware, firmwareCount, firmwareNameAt,
+         firmwareBuildAt},
+    };
+    return table;
 }
 
 const WorkloadSuite *
-ScenarioRegistry::findSuite(const std::string &name) const
+findSuite(const std::string &name)
 {
-    for (const WorkloadSuite &suite : suites) {
+    for (const WorkloadSuite &suite : workloadSuites()) {
         if (name == suite.name)
             return &suite;
     }
     return nullptr;
-}
-
-void
-ScenarioRegistry::registerSuite(WorkloadSuite suite)
-{
-    RV_ASSERT(suite.name != nullptr && suite.name[0] != '\0',
-              "scenario: suite needs a name");
-    RV_ASSERT(suite.count != nullptr && suite.nameAt != nullptr
-                  && suite.buildAt != nullptr,
-              "scenario: suite '%s' needs count/nameAt/buildAt",
-              suite.name);
-    for (const WorkloadSuite &existing : suites) {
-        RV_ASSERT(std::string(existing.name) != suite.name,
-                  "scenario: duplicate suite name '%s'", suite.name);
-    }
-    suites.push_back(std::move(suite));
 }
 
 namespace
@@ -269,11 +209,10 @@ knownNames(const std::vector<std::string> &names)
 const TargetBoard &
 targetOrDie(const std::string &name)
 {
-    const TargetBoard *board =
-        ScenarioRegistry::instance().findTarget(name);
+    const TargetBoard *board = findTarget(name);
     if (!board) {
         std::vector<std::string> names;
-        for (const TargetBoard &b : ScenarioRegistry::instance().targets())
+        for (const TargetBoard &b : targets())
             names.push_back(b.name);
         fatal("unknown target '%s' (known: %s)", name.c_str(),
               knownNames(names).c_str());
@@ -284,12 +223,10 @@ targetOrDie(const std::string &name)
 const WorkloadSuite &
 suiteOrDie(const std::string &name)
 {
-    const WorkloadSuite *suite =
-        ScenarioRegistry::instance().findSuite(name);
+    const WorkloadSuite *suite = findSuite(name);
     if (!suite) {
         std::vector<std::string> names;
-        for (const WorkloadSuite &s :
-             ScenarioRegistry::instance().workloadSuites())
+        for (const WorkloadSuite &s : workloadSuites())
             names.push_back(s.name);
         fatal("unknown workload suite '%s' (known: %s)", name.c_str(),
               knownNames(names).c_str());

@@ -1,6 +1,6 @@
 /**
  * @file
- * The scenario registry: one declarative seam between "a validation
+ * The scenario tables: one declarative seam between "a validation
  * target" and everything that consumes one.
  *
  * The paper validates against exactly two boards (Cortex-A53/A72) and
@@ -13,9 +13,9 @@
  * WorkloadSuite (a named program family with a role: `tuning` programs
  * may be raced, `held-out` programs may only be measured and reported,
  * `firmware` is the microcontroller-shaped family). Drivers resolve
- * both by name -- the same move core::TimingModelRegistry made for
- * model families and tuner::SearchStrategyRegistry made for search
- * strategies.
+ * both by name from fixed tables, as they resolve model families from
+ * core::modelFamilies(). Adding a board or a suite is one row in
+ * scenario.cc.
  */
 
 #ifndef RACEVAL_SCENARIO_SCENARIO_HH
@@ -111,51 +111,24 @@ struct WorkloadSuite
     isa::Program (*buildAt)(size_t index) = nullptr;
 };
 
-/**
- * Declaration-ordered registry of targets and workload suites. The
- * built-in scenarios (cortex-a53, cortex-a72, cortex-m-class; ubench,
- * spec2017, firmware) are pre-registered; registerTarget() /
- * registerSuite() are the extension points.
- */
-class ScenarioRegistry
-{
-  public:
-    /** @return the process-wide registry. */
-    static ScenarioRegistry &instance();
+/** @return the fixed target table (cortex-a53, cortex-a72,
+ *  cortex-m-class), in --list order. */
+const std::vector<TargetBoard> &targets();
 
-    /** @return the target named @p name, or nullptr when unknown. */
-    const TargetBoard *findTarget(const std::string &name) const;
+/** @return the target named @p name, or nullptr when unknown. */
+const TargetBoard *findTarget(const std::string &name);
 
-    /** @return all registered targets, declaration order. */
-    const std::vector<TargetBoard> &targets() const { return boards; }
+/** @return the fixed workload-suite table (ubench, spec2017,
+ *  firmware), in --list order. */
+const std::vector<WorkloadSuite> &workloadSuites();
 
-    /** Register a target (fatal on duplicate name, or on a duplicate
-     *  or zero salt -- only the two pre-scenario boards are grand-
-     *  fathered at salt 0). */
-    void registerTarget(TargetBoard board);
+/** @return the suite named @p name, or nullptr when unknown. */
+const WorkloadSuite *findSuite(const std::string &name);
 
-    /** @return the suite named @p name, or nullptr when unknown. */
-    const WorkloadSuite *findSuite(const std::string &name) const;
-
-    /** @return all registered suites, declaration order. */
-    const std::vector<WorkloadSuite> &workloadSuites() const
-    {
-        return suites;
-    }
-
-    /** Register a workload suite (fatal on duplicate name). */
-    void registerSuite(WorkloadSuite suite);
-
-  private:
-    ScenarioRegistry();
-    std::vector<TargetBoard> boards;
-    std::vector<WorkloadSuite> suites;
-};
-
-/** @return a registered target; fatal with the known names on miss. */
+/** @return a known target; fatal with the known names on miss. */
 const TargetBoard &targetOrDie(const std::string &name);
 
-/** @return a registered suite; fatal with the known names on miss. */
+/** @return a known suite; fatal with the known names on miss. */
 const WorkloadSuite &suiteOrDie(const std::string &name);
 
 /** Stable default target of a model family (the pre-scenario mapping:

@@ -14,20 +14,7 @@ namespace raceval::tuner
 IteratedRacer::IteratedRacer(const ParameterSpace &space,
                              CostEvaluator &evaluator,
                              size_t num_instances, RacerOptions options)
-    : space(space), evaluator(&evaluator), numInstances(num_instances),
-      opts(options)
-{
-    RV_ASSERT(space.size() > 0, "empty parameter space");
-    RV_ASSERT(numInstances > 0, "no benchmark instances");
-    RV_ASSERT(opts.maxExperiments > 0, "zero experiment budget");
-}
-
-IteratedRacer::IteratedRacer(const ParameterSpace &space, CostFn cost,
-                             size_t num_instances, RacerOptions options)
-    : space(space),
-      ownedEvaluator(std::make_unique<SimpleCostEvaluator>(
-          std::move(cost), options.threads)),
-      evaluator(ownedEvaluator.get()), numInstances(num_instances),
+    : space(space), evaluator(evaluator), numInstances(num_instances),
       opts(options)
 {
     RV_ASSERT(space.size() > 0, "empty parameter space");
@@ -130,7 +117,7 @@ IteratedRacer::race(std::vector<Candidate> candidates, Rng &rng,
             truncated = true;
         }
 
-        std::vector<double> step_costs = evaluator->evaluateMany(step);
+        std::vector<double> step_costs = evaluator.evaluateMany(step);
         experimentsUsed += fresh;
         for (size_t k = 0; k < alive.size(); ++k) {
             charged.insert(
@@ -285,7 +272,7 @@ IteratedRacer::run()
     final_pairs.reserve(numInstances);
     for (size_t i = 0; i < numInstances; ++i)
         final_pairs.emplace_back(result.best, i);
-    result.bestCosts = evaluator->evaluateMany(final_pairs);
+    result.bestCosts = evaluator.evaluateMany(final_pairs);
     result.bestMeanCost = stats::mean(result.bestCosts);
     result.experimentsUsed = experimentsUsed;
     result.elites = std::move(elites);

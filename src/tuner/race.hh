@@ -17,7 +17,6 @@
 #ifndef RACEVAL_TUNER_RACE_HH
 #define RACEVAL_TUNER_RACE_HH
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -45,18 +44,6 @@ class IteratedRacer : public SearchStrategy
      * @param options tuning knobs.
      */
     IteratedRacer(const ParameterSpace &space, CostEvaluator &evaluator,
-                  size_t num_instances, RacerOptions options = {});
-
-    /**
-     * Convenience: race over a plain cost lambda through an internal
-     * SimpleCostEvaluator (memoization + options.threads workers).
-     *
-     * @param space parameter declarations.
-     * @param cost cost oracle (thread-safe, deterministic).
-     * @param num_instances benchmark instance count.
-     * @param options tuning knobs.
-     */
-    IteratedRacer(const ParameterSpace &space, CostFn cost,
                   size_t num_instances, RacerOptions options = {});
 
     /** Run the full iterated race. */
@@ -95,9 +82,7 @@ class IteratedRacer : public SearchStrategy
                                 Rng &rng, bool salvage);
 
     const ParameterSpace &space;
-    /** Owned only by the CostFn convenience constructor. */
-    std::unique_ptr<CostEvaluator> ownedEvaluator;
-    CostEvaluator *evaluator;
+    CostEvaluator &evaluator;
     size_t numInstances;
     RacerOptions opts;
     uint64_t experimentsUsed = 0;

@@ -12,8 +12,10 @@
  * (so the engine's record-once/replay-many machinery serves them all),
  * spends the same experiment budget, and returns the same RaceResult.
  * The validation flow, the campaign orchestrator and the drivers
- * select a strategy by name instead of naming IteratedRacer -- exactly
- * the move core::TimingModelRegistry made for model families.
+ * select a strategy by name instead of naming IteratedRacer, as they
+ * select model families by tag from core::modelFamilies(). Unlike the
+ * families, strategies stay an open registry: out-of-tree strategies
+ * (examples/custom_tuner.cpp) register through registerStrategy().
  */
 
 #ifndef RACEVAL_TUNER_STRATEGY_HH
@@ -35,7 +37,7 @@ namespace raceval::tuner
  * Search options, shared by every strategy (defaults sized for the
  * scaled reproduction). Knobs without meaning for a strategy are
  * ignored by it; the ones every strategy honours are maxExperiments,
- * seed, eliteCount, threads and verbose.
+ * seed, eliteCount and verbose.
  */
 struct RacerOptions
 {
@@ -56,10 +58,6 @@ struct RacerOptions
      *  budget. */
     unsigned candidatesPerIteration = 0;
     uint64_t seed = 20190324; // ISPASS'19
-    /** Worker threads for parallel evaluation (0 = hardware); only
-     *  used by IteratedRacer's convenience CostFn constructor -- an
-     *  external CostEvaluator brings its own parallelism. */
-    unsigned threads = 0;
     /** Narrate rounds via inform(). */
     bool verbose = false;
 };

@@ -8,17 +8,9 @@
 #include "core/timing_model.hh"
 #include "stats/descriptive.hh"
 #include "ubench/ubench.hh"
-#include "vm/functional.hh"
 
 namespace raceval::validate
 {
-
-ValidationFlow::ValidationFlow(core::ModelFamily family,
-                               FlowOptions options)
-    : ValidationFlow(scenario::defaultTargetFor(family), family,
-                     std::move(options))
-{
-}
 
 ValidationFlow::ValidationFlow(const scenario::TargetBoard &target,
                                core::ModelFamily family,
@@ -106,14 +98,6 @@ ValidationFlow::~ValidationFlow()
         return;
     }
     evalEngine->saveCache(opts.evalCachePath);
-}
-
-core::CoreStats
-ValidationFlow::simulate(const core::CoreParams &model,
-                         const isa::Program &program) const
-{
-    vm::FunctionalCore source(program);
-    return core::makeTimingModel(fam, model)->run(source);
 }
 
 double
@@ -240,7 +224,6 @@ ValidationFlow::run()
 
     tuner::RacerOptions racer_opts;
     racer_opts.maxExperiments = opts.budget;
-    racer_opts.threads = opts.threads;
     racer_opts.seed = opts.seed;
     racer_opts.verbose = opts.verbose;
     std::unique_ptr<tuner::SearchStrategy> strategy =

@@ -101,31 +101,16 @@ class ValidationFlow
 {
   public:
     /**
-     * @param target the registered board to validate against (see
-     *        scenario::ScenarioRegistry): ground truth, public-info
-     *        baseline, raced-space clamp and cache salt all come from
-     *        the entry. Must outlive the flow.
+     * @param target the board to validate against (see
+     *        scenario::targets()): ground truth, public-info baseline,
+     *        raced-space clamp and cache salt all come from the entry.
+     *        Must outlive the flow.
      * @param family the timing-model family to validate; must be on
      *        the target's family whitelist.
      * @param options flow options.
      */
     ValidationFlow(const scenario::TargetBoard &target,
                    core::ModelFamily family, FlowOptions options = {});
-
-    /**
-     * Family-only constructor: validates against the family's
-     * pre-scenario default board (OoO on cortex-a72, in-order and
-     * interval on cortex-a53).
-     */
-    ValidationFlow(core::ModelFamily family, FlowOptions options = {});
-
-    /** Legacy two-family constructor (OoO vs in-order). */
-    ValidationFlow(bool out_of_order, FlowOptions options = {})
-        : ValidationFlow(out_of_order ? core::ModelFamily::Ooo
-                                      : core::ModelFamily::InOrder,
-                         options)
-    {
-    }
 
     /** Saves the engine's EvalCache and warm file to
      *  options.evalCachePath (when set), so everything evaluated over
@@ -174,15 +159,6 @@ class ValidationFlow
     std::vector<double>
     ubenchErrorBatch(const std::vector<core::CoreParams> &models,
                      size_t stride = 1);
-
-    /**
-     * Run the simulator model (family per construction) on a program,
-     * one-shot: live functional execution, no registration with the
-     * engine. Use evaluateOn() for programs that will be evaluated
-     * repeatedly -- it records, replays and caches.
-     */
-    core::CoreStats simulate(const core::CoreParams &model,
-                             const isa::Program &program) const;
 
     /** @return the validated timing-model family. */
     core::ModelFamily family() const { return fam; }

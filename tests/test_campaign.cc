@@ -1,5 +1,5 @@
 /** @file Campaign orchestrator tests: scheduling determinism, shared
- *  engine/cache behaviour, cost domains, and checkpoint/resume. */
+ *  engine/cache behaviour, and checkpoint/resume. */
 
 #include <gtest/gtest.h>
 
@@ -65,14 +65,13 @@ makeEngine()
 CampaignTask
 makeTask(const std::string &name, const tuner::ParameterSpace &space,
          const engine::ModelFn &model_fn, std::vector<size_t> instances,
-         uint64_t seed, uint64_t budget = 120, size_t domain = 0)
+         uint64_t seed, uint64_t budget = 120)
 {
     CampaignTask task;
     task.name = name;
     task.space = &space;
     task.modelFn = model_fn;
     task.instances = std::move(instances);
-    task.costDomain = domain;
     task.racer.maxExperiments = budget;
     task.racer.seed = seed;
     return task;
@@ -171,32 +170,6 @@ TEST(Campaign, WarmCacheAndSoloRunsKeepTrajectories)
     solo.addTask(makeTask("sub2/seed2", space, model_fn, {2, 3}, 22));
     CampaignResult alone = solo.run();
     expectSameRace(alone.tasks[0].result, cold.tasks[3].result);
-}
-
-TEST(Campaign, CostDomainsDoNotAlias)
-{
-    tuner::ParameterSpace space = makeSpace();
-    engine::ModelFn model_fn = makeModelFn(space);
-    auto eng = makeEngine();
-    // Domain 0 stays simulated CPI; a second domain returns a
-    // constant. If domain values ever aliased in the shared cache, one
-    // task would observe the other's metric.
-    size_t constant_domain = eng->addCostDomain(
-        [](const core::CoreStats &, size_t) { return 123.0; },
-        /*cost_tag=*/0xc0);
-    EXPECT_EQ(eng->numCostDomains(), 2u);
-
-    CampaignRunner runner(*eng, CampaignOptions{});
-    runner.addTask(makeTask("cpi", space, model_fn, {0, 1}, 7));
-    runner.addTask(makeTask("const", space, model_fn, {0, 1}, 7,
-                            /*budget=*/120, constant_domain));
-    CampaignResult result = runner.run();
-
-    EXPECT_GT(result.tasks[0].result.bestMeanCost, 0.0);
-    EXPECT_NE(result.tasks[0].result.bestMeanCost, 123.0);
-    EXPECT_DOUBLE_EQ(result.tasks[1].result.bestMeanCost, 123.0);
-    for (double cost : result.tasks[1].result.bestCosts)
-        EXPECT_DOUBLE_EQ(cost, 123.0);
 }
 
 TEST(Campaign, CheckpointResumeReproducesUninterruptedRun)
@@ -565,6 +538,11 @@ TEST(Campaign, TaskFingerprintTracksDefinition)
     for (const char *name : {"CCh", "EI", "MM", "STc"})
         ooo_engine.addInstance(smallProgram(name));
     EXPECT_NE(taskFingerprint(ooo_engine, base), fp);
+
+    // And the engine's cost metric, by its cache-key tag: a changed
+    // objective must not restore results raced under the old one.
+    eng->setCostFn(nullptr, /*cost_tag=*/0xc0);
+    EXPECT_NE(taskFingerprint(*eng, base), fp);
 }
 
 } // namespace

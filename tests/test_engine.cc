@@ -422,7 +422,6 @@ TEST(Engine, RacerBitIdenticalWithEngineSwappedIn)
     tuner::RacerOptions opts;
     opts.maxExperiments = 250;
     opts.seed = 77;
-    opts.threads = 2;
 
     // Path A: the pre-engine way -- live functional execution per
     // evaluation, memoized by the SimpleCostEvaluator.
@@ -433,7 +432,8 @@ TEST(Engine, RacerBitIdenticalWithEngineSwappedIn)
         core::InOrderCore sim(model);
         return sim.run(source).cpi();
     };
-    tuner::IteratedRacer live_racer(space, live_cost, programs.size(),
+    tuner::SimpleCostEvaluator live_eval(live_cost, 2);
+    tuner::IteratedRacer live_racer(space, live_eval, programs.size(),
                                     opts);
     tuner::RaceResult live = live_racer.run();
 
@@ -530,7 +530,6 @@ TEST(Engine, EveryStrategyBitIdenticalLiveVsEngineColdVsWarm)
     tuner::RacerOptions opts;
     opts.maxExperiments = 120;
     opts.seed = 31;
-    opts.threads = 1;
 
     for (const tuner::SearchStrategyInfo &info :
          tuner::SearchStrategyRegistry::instance().all()) {

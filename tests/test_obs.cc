@@ -216,15 +216,15 @@ syntheticRace()
     tuner::RacerOptions opts;
     opts.maxExperiments = 400;
     opts.seed = 99;
-    tuner::IteratedRacer racer(
-        space,
+    tuner::SimpleCostEvaluator evaluator(
         [](const tuner::Configuration &config, size_t instance) {
             double x = static_cast<double>(config[0]) - 3.0;
             double y = static_cast<double>(config[1]) - 1.0;
             return x * x + y * y
                 + 0.01 * static_cast<double>(instance);
-        },
-        /*num_instances=*/4, opts);
+        });
+    tuner::IteratedRacer racer(space, evaluator, /*num_instances=*/4,
+                               opts);
     return racer.run();
 }
 
@@ -309,51 +309,19 @@ TEST(Trace, EngineBatchRecordsOneEvalSpanPerFreshEval)
     EXPECT_EQ(countSpans(json, "engine.batch"), 1u);
 }
 
-// --------------------------------------------------------------- LogSink
+// ------------------------------------------------------------------- Log
 
-TEST(LogSink, CustomSinkReceivesFilteredMessages)
+TEST(Log, WarnAndInformPrintToStderrUnlessQuiet)
 {
-    std::vector<std::pair<LogLevel, std::string>> seen;
-    setLogSink([&seen](LogLevel level, const std::string &msg) {
-        seen.emplace_back(level, msg);
-    });
-    setLogLevel(LogLevel::Warn);
-    logAt(LogLevel::Info, "dropped %d", 1);
-    logAt(LogLevel::Warn, "kept %d", 2);
-    logAt(LogLevel::Error, "kept %d", 3);
-    setLogLevel(LogLevel::Info);
-    setLogSink(nullptr);
-    ASSERT_EQ(seen.size(), 2u);
-    EXPECT_EQ(seen[0].first, LogLevel::Warn);
-    EXPECT_EQ(seen[0].second, "kept 2");
-    EXPECT_EQ(seen[1].first, LogLevel::Error);
-    EXPECT_EQ(seen[1].second, "kept 3");
-}
-
-TEST(LogSink, WarnAndInformRouteThroughTheSink)
-{
-    std::vector<std::string> seen;
-    setLogSink([&seen](LogLevel, const std::string &msg) {
-        seen.push_back(msg);
-    });
     bool was_quiet = quiet();
     setQuiet(false);
+    ::testing::internal::CaptureStderr();
     warn("w%d", 1);
     inform("i%d", 2);
     setQuiet(true);
     warn("suppressed");
     inform("suppressed");
+    std::string out = ::testing::internal::GetCapturedStderr();
     setQuiet(was_quiet);
-    setLogSink(nullptr);
-    ASSERT_EQ(seen.size(), 2u);
-    EXPECT_EQ(seen[0], "w1");
-    EXPECT_EQ(seen[1], "i2");
-}
-
-TEST(LogSink, LevelNamesAreStable)
-{
-    EXPECT_STREQ(logLevelName(LogLevel::Debug), "debug");
-    EXPECT_STREQ(logLevelName(LogLevel::Info), "info");
-    EXPECT_STREQ(logLevelName(LogLevel::Warn), "warn");
-    EXPECT_STREQ(logLevelName(LogLevel::Error), "error");
+    EXPECT_EQ(out, "warn: w1\ninfo: i2\n");
 }

@@ -1,4 +1,4 @@
-/** @file Scenario-registry tests: golden target salts, family
+/** @file Scenario-table tests: golden target salts, family
  *  whitelists, the M-class presets and their no-L2 modeling, per-target
  *  raced-space clamping, firmware trace sizing and replay,
  *  the hold-out contract, and cross-target cache/checkpoint
@@ -50,7 +50,7 @@ paramIndex(const tuner::ParameterSpace &space, const std::string &name)
 
 } // namespace
 
-// ------------------------------------------------------------ registry
+// -------------------------------------------------------------- tables
 
 TEST(Scenario, GoldenTargetSalts)
 {
@@ -66,23 +66,22 @@ TEST(Scenario, GoldenTargetSalts)
               0x4d2d636c61737331ull);
 }
 
-TEST(Scenario, RegistryLookupAndRoles)
+TEST(Scenario, TableLookupAndRoles)
 {
-    ScenarioRegistry &reg = ScenarioRegistry::instance();
-    EXPECT_EQ(reg.findTarget("no-such-board"), nullptr);
-    EXPECT_GE(reg.targets().size(), 3u);
-    // Declaration order is stable (the --list rendering contract).
-    EXPECT_STREQ(reg.targets()[0].name, "cortex-a53");
-    EXPECT_STREQ(reg.targets()[1].name, "cortex-a72");
-    EXPECT_STREQ(reg.targets()[2].name, "cortex-m-class");
+    EXPECT_EQ(findTarget("no-such-board"), nullptr);
+    ASSERT_EQ(targets().size(), 3u);
+    // Table order is stable (the --list rendering contract).
+    EXPECT_STREQ(targets()[0].name, "cortex-a53");
+    EXPECT_STREQ(targets()[1].name, "cortex-a72");
+    EXPECT_STREQ(targets()[2].name, "cortex-m-class");
 
-    EXPECT_EQ(reg.findSuite("no-such-suite"), nullptr);
-    ASSERT_NE(reg.findSuite("ubench"), nullptr);
-    ASSERT_NE(reg.findSuite("spec2017"), nullptr);
-    ASSERT_NE(reg.findSuite("firmware"), nullptr);
-    EXPECT_EQ(reg.findSuite("ubench")->role, WorkloadRole::Tuning);
-    EXPECT_EQ(reg.findSuite("spec2017")->role, WorkloadRole::HeldOut);
-    EXPECT_EQ(reg.findSuite("firmware")->role, WorkloadRole::Firmware);
+    EXPECT_EQ(findSuite("no-such-suite"), nullptr);
+    ASSERT_NE(findSuite("ubench"), nullptr);
+    ASSERT_NE(findSuite("spec2017"), nullptr);
+    ASSERT_NE(findSuite("firmware"), nullptr);
+    EXPECT_EQ(findSuite("ubench")->role, WorkloadRole::Tuning);
+    EXPECT_EQ(findSuite("spec2017")->role, WorkloadRole::HeldOut);
+    EXPECT_EQ(findSuite("firmware")->role, WorkloadRole::Firmware);
     EXPECT_STREQ(workloadRoleName(WorkloadRole::HeldOut), "held-out");
 
     // Suite adapters agree with the underlying program families.
@@ -118,29 +117,36 @@ TEST(Scenario, FamilyWhitelists)
                  "cortex-a72");
 }
 
-TEST(ScenarioDeathTest, RegisterTargetValidates)
+TEST(Scenario, TablesHaveDistinctNamesAndSalts)
 {
-    TargetBoard board;
-    board.name = "custom-board";
-    board.secret = hw::secretCortexM;
-    board.publicInfo = core::publicInfoCortexM;
-    board.families = {core::ModelFamily::InOrder};
-
-    // Zero salt is reserved for the grandfathered pre-scenario boards.
-    board.fingerprintSalt = 0;
-    EXPECT_DEATH(ScenarioRegistry::instance().registerTarget(board),
-                 "nonzero fingerprint salt");
-
-    // Salts must be unique: they are the only thing keeping two
-    // same-family boards apart in a shared warm cache.
-    board.fingerprintSalt = targetOrDie("cortex-m-class").fingerprintSalt;
-    EXPECT_DEATH(ScenarioRegistry::instance().registerTarget(board),
-                 "reuses the salt");
-
-    board.name = "cortex-m-class";
-    board.fingerprintSalt = 0x1234;
-    EXPECT_DEATH(ScenarioRegistry::instance().registerTarget(board),
-                 "duplicate target name");
+    // Salt 0 is reserved for the grandfathered pre-scenario boards;
+    // every other board needs its own nonzero salt -- it is the only
+    // thing keeping two same-family boards apart in a shared warm
+    // cache.
+    const std::vector<TargetBoard> &boards = targets();
+    for (size_t i = 0; i < boards.size(); ++i) {
+        const TargetBoard &board = boards[i];
+        EXPECT_NE(board.secret, nullptr) << board.name;
+        EXPECT_NE(board.publicInfo, nullptr) << board.name;
+        EXPECT_FALSE(board.families.empty()) << board.name;
+        EXPECT_TRUE(board.allows(board.defaultFamily)) << board.name;
+        bool grandfathered = std::string(board.name) == "cortex-a53"
+            || std::string(board.name) == "cortex-a72";
+        EXPECT_EQ(board.fingerprintSalt == 0, grandfathered)
+            << board.name;
+        for (size_t j = 0; j < i; ++j) {
+            EXPECT_STRNE(boards[j].name, board.name);
+            if (board.fingerprintSalt != 0) {
+                EXPECT_NE(boards[j].fingerprintSalt,
+                          board.fingerprintSalt);
+            }
+        }
+    }
+    const std::vector<WorkloadSuite> &suites = workloadSuites();
+    for (size_t i = 0; i < suites.size(); ++i) {
+        for (size_t j = 0; j < i; ++j)
+            EXPECT_STRNE(suites[j].name, suites[i].name);
+    }
 }
 
 // ------------------------------------------------- M-class board model

@@ -1,4 +1,4 @@
-/** @file Timing-model registry and interval-core tests. */
+/** @file Timing-model family table and interval-core tests. */
 
 #include <gtest/gtest.h>
 
@@ -29,26 +29,25 @@ familyCpi(ModelFamily family, const core::CoreParams &params,
 
 } // namespace
 
-TEST(TimingModelRegistry, BuiltinsRegisteredWithDistinctIdentity)
+TEST(TimingModelFamilies, TableIndexedByFamilyWithGoldenSalts)
 {
-    const auto &reg = core::TimingModelRegistry::instance();
-    ASSERT_EQ(reg.all().size(), core::numModelFamilies);
+    const auto &table = core::modelFamilies();
+    for (size_t i = 0; i < table.size(); ++i)
+        EXPECT_EQ(static_cast<size_t>(table[i].family), i);
     EXPECT_STREQ(core::modelFamilyName(ModelFamily::InOrder), "inorder");
     EXPECT_STREQ(core::modelFamilyName(ModelFamily::Ooo), "ooo");
     EXPECT_STREQ(core::modelFamilyName(ModelFamily::Interval),
                  "interval");
-    // Salts are persisted-cache ABI: distinct and non-zero.
-    uint64_t salts[] = {core::modelFamilySalt(ModelFamily::InOrder),
-                        core::modelFamilySalt(ModelFamily::Ooo),
-                        core::modelFamilySalt(ModelFamily::Interval)};
-    EXPECT_NE(salts[0], salts[1]);
-    EXPECT_NE(salts[0], salts[2]);
-    EXPECT_NE(salts[1], salts[2]);
-    for (uint64_t salt : salts)
-        EXPECT_NE(salt, 0u);
+    // Salts are persisted-cache ABI: every EvalCache file and campaign
+    // checkpoint keys on these exact values.
+    EXPECT_EQ(core::modelFamilySalt(ModelFamily::InOrder),
+              0x696e6f72646572ull);
+    EXPECT_EQ(core::modelFamilySalt(ModelFamily::Ooo), 0x6f6f6f636f7265ull);
+    EXPECT_EQ(core::modelFamilySalt(ModelFamily::Interval),
+              0x696e74657276616cull);
 }
 
-TEST(TimingModelRegistry, ParseAndFactoryRoundTrip)
+TEST(TimingModelFamilies, ParseAndFactoryRoundTrip)
 {
     ModelFamily family = ModelFamily::InOrder;
     EXPECT_TRUE(core::parseModelFamily("interval", family));

@@ -89,7 +89,8 @@ TEST(Racer, ConvergesToKnownOptimum)
     RacerOptions opts;
     opts.maxExperiments = 600;
     opts.seed = 5;
-    IteratedRacer racer(space, cost, 10, opts);
+    SimpleCostEvaluator evaluator(cost);
+    IteratedRacer racer(space, evaluator, 10, opts);
     RaceResult result = racer.run();
     EXPECT_EQ(space.ordinalValue(result.best, "a"), 4);
     EXPECT_EQ(space.categoricalChoice(result.best, "b"), 1u);
@@ -103,7 +104,8 @@ TEST(Racer, RespectsBudget)
     auto cost = [](const Configuration &, size_t) { return 1.0; };
     RacerOptions opts;
     opts.maxExperiments = 200;
-    IteratedRacer racer(space, cost, 10, opts);
+    SimpleCostEvaluator evaluator(cost);
+    IteratedRacer racer(space, evaluator, 10, opts);
     RaceResult result = racer.run();
     EXPECT_LE(result.experimentsUsed, 200u);
 }
@@ -125,7 +127,8 @@ TEST(Racer, InitialCandidateAnchorsSearch)
     space.setChoice(seed, "c", 1);
     RacerOptions opts;
     opts.maxExperiments = 150;
-    IteratedRacer racer(space, cost, 8, opts);
+    SimpleCostEvaluator evaluator(cost);
+    IteratedRacer racer(space, evaluator, 8, opts);
     racer.addInitialCandidate(seed);
     RaceResult result = racer.run();
     EXPECT_EQ(result.bestMeanCost, 0.0);
@@ -142,9 +145,10 @@ TEST(Racer, DeterministicUnderSeed)
     RacerOptions opts;
     opts.maxExperiments = 300;
     opts.seed = 99;
-    opts.threads = 1;
-    IteratedRacer r1(space, cost, 6, opts);
-    IteratedRacer r2(space, cost, 6, opts);
+    SimpleCostEvaluator e1(cost, 1);
+    SimpleCostEvaluator e2(cost, 1);
+    IteratedRacer r1(space, e1, 6, opts);
+    IteratedRacer r2(space, e2, 6, opts);
     EXPECT_EQ(r1.run().best, r2.run().best);
 }
 
@@ -161,7 +165,8 @@ TEST(Racer, TinyBudgetReturnsBestEffortResult)
         RacerOptions opts;
         opts.maxExperiments = budget;
         opts.seed = 3;
-        IteratedRacer racer(space, cost, 10, opts);
+        SimpleCostEvaluator evaluator(cost);
+        IteratedRacer racer(space, evaluator, 10, opts);
         RaceResult result = racer.run();
         EXPECT_GE(result.experimentsUsed, 1u);
         EXPECT_LE(result.experimentsUsed, budget);
@@ -183,7 +188,8 @@ TEST(Racer, TinyBudgetPicksBestOfCostedCandidates)
     RacerOptions opts;
     opts.maxExperiments = 2;
     opts.seed = 3;
-    IteratedRacer racer(space, cost, 10, opts);
+    SimpleCostEvaluator evaluator(cost);
+    IteratedRacer racer(space, evaluator, 10, opts);
     RaceResult result = racer.run();
     EXPECT_EQ(result.experimentsUsed, 2u);
     ASSERT_EQ(result.elites.size(), 2u);
@@ -205,7 +211,8 @@ TEST(Racer, LargeEliteCountDoesNotUnderflowCandidateClamp)
         opts.maxExperiments = 2000;
         opts.eliteCount = elites;
         opts.seed = 11;
-        IteratedRacer racer(space, cost, 6, opts);
+        SimpleCostEvaluator evaluator(cost);
+        IteratedRacer racer(space, evaluator, 6, opts);
         RaceResult result = racer.run();
         EXPECT_FALSE(result.elites.empty());
         EXPECT_LE(result.experimentsUsed, 2000u);
@@ -221,7 +228,8 @@ TEST(Racer, EliteListSortedByCost)
     };
     RacerOptions opts;
     opts.maxExperiments = 400;
-    IteratedRacer racer(space, cost, 6, opts);
+    SimpleCostEvaluator evaluator(cost);
+    IteratedRacer racer(space, evaluator, 6, opts);
     RaceResult result = racer.run();
     for (size_t i = 1; i < result.elites.size(); ++i)
         EXPECT_LE(result.elites[i - 1].second,
@@ -295,7 +303,6 @@ TEST_P(StrategyProperty, BudgetDeterminismAndWarmRerun)
     RacerOptions opts;
     opts.maxExperiments = budget;
     opts.seed = 1234;
-    opts.threads = 1;
 
     SimpleCostEvaluator evaluator(cost, 1);
     auto cold_strategy =

@@ -186,13 +186,42 @@ TEST(Flow, TuningImprovesOnPublicInfo)
     FlowOptions opts;
     opts.budget = 800; // tiny smoke budget
     opts.threads = 2;
-    ValidationFlow flow(false, opts);
+    ValidationFlow flow(scenario::targetOrDie("cortex-a53"),
+                        core::ModelFamily::InOrder, opts);
     FlowReport report = flow.run();
     EXPECT_GT(report.untunedUbenchAvg, 0.25);
     EXPECT_LT(report.tunedUbenchAvg, report.untunedUbenchAvg);
     EXPECT_EQ(report.untunedUbench.size(), 40u);
     EXPECT_EQ(report.tunedUbench.size(), 40u);
     EXPECT_LE(report.race.experimentsUsed, 800u);
+}
+
+// Step #5's cost adds a non-negative branch-misprediction-rate term to
+// the CPI error, so it never scores below the plain CPI cost -- and on
+// a branchy micro-benchmark it must score strictly above it.
+TEST(Flow, CpiPlusBranchCostNeverBelowCpiCost)
+{
+    const scenario::TargetBoard &a53 = scenario::targetOrDie("cortex-a53");
+    FlowOptions cpi_opts;
+    cpi_opts.threads = 2;
+    FlowOptions branch_opts = cpi_opts;
+    branch_opts.costKind = CostKind::CpiPlusBranch;
+    ValidationFlow cpi(a53, core::ModelFamily::InOrder, cpi_opts);
+    ValidationFlow branch(a53, core::ModelFamily::InOrder, branch_opts);
+
+    core::CoreParams model = core::publicInfoA53();
+    bool raised_on_control = false;
+    for (size_t i = 0; i < ubench::all().size(); ++i) {
+        const ubench::UbenchInfo &info = ubench::all()[i];
+        double cpi_cost = cpi.engine().evaluateModel(model, i).cost;
+        double branch_cost =
+            branch.engine().evaluateModel(model, i).cost;
+        EXPECT_GE(branch_cost, cpi_cost) << info.name;
+        if (info.category == ubench::Category::Control
+            && branch_cost > cpi_cost)
+            raised_on_control = true;
+    }
+    EXPECT_TRUE(raised_on_control);
 }
 
 namespace
@@ -230,13 +259,15 @@ TEST(Flow, WarmStartReplaysTheRaceWithoutSimulating)
 
     tuner::RaceResult cold_race;
     {
-        ValidationFlow cold(false, opts);
+        ValidationFlow cold(scenario::targetOrDie("cortex-a53"),
+                            core::ModelFamily::InOrder, opts);
         FlowReport report = cold.run();
         cold_race = report.race;
         EXPECT_GT(report.engineStats.evaluations, 0u);
     }
 
-    ValidationFlow warm(false, opts);
+    ValidationFlow warm(scenario::targetOrDie("cortex-a53"),
+                        core::ModelFamily::InOrder, opts);
     ASSERT_NE(warm.engine().warmFile(), nullptr);
     FlowReport report = warm.run();
     EXPECT_EQ(report.engineStats.evaluations, 0u);
@@ -267,7 +298,8 @@ TEST(Flow, NeverOverwritesAnUnmappableCacheFile)
     opts.evalCachePath = path;
     setQuiet(true);
     {
-        ValidationFlow flow(false, opts);
+        ValidationFlow flow(scenario::targetOrDie("cortex-a53"),
+                        core::ModelFamily::InOrder, opts);
         EXPECT_EQ(flow.engine().warmFile(), nullptr);
         EXPECT_GT(flow.ubenchError(core::publicInfoA53(), nullptr, 8),
                   0.0);
