@@ -7,19 +7,6 @@ namespace raceval::branch
 
 using isa::OpClass;
 
-const char *
-predictorKindName(PredictorKind kind)
-{
-    switch (kind) {
-      case PredictorKind::NotTaken: return "not-taken";
-      case PredictorKind::Bimodal: return "bimodal";
-      case PredictorKind::GShare: return "gshare";
-      case PredictorKind::Local: return "local";
-      case PredictorKind::Tournament: return "tournament";
-      default: panic("bad predictor kind %d", static_cast<int>(kind));
-    }
-}
-
 BranchUnit::BranchUnit(const BranchParams &p)
     : params(p)
 {

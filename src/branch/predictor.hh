@@ -35,9 +35,6 @@ enum class PredictorKind : uint8_t
     NumKinds
 };
 
-/** @return predictor family name ("gshare", ...). */
-const char *predictorKindName(PredictorKind kind);
-
 /** Configuration surface of the branch unit. */
 struct BranchParams
 {

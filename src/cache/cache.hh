@@ -31,14 +31,6 @@ struct CacheStats
     uint64_t prefetchIssued = 0;
     uint64_t prefetchUseful = 0; //!< demand hits on prefetched lines
     uint64_t writebacks = 0;
-
-    /** @return demand miss rate in [0, 1]. */
-    double
-    missRate() const
-    {
-        return accesses ? static_cast<double>(misses)
-            / static_cast<double>(accesses) : 0.0;
-    }
 };
 
 /** Outcome of a single lookup. */

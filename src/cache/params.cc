@@ -5,41 +5,6 @@
 namespace raceval::cache
 {
 
-const char *
-hashKindName(HashKind kind)
-{
-    switch (kind) {
-      case HashKind::Mask: return "mask";
-      case HashKind::Xor: return "xor";
-      case HashKind::Mersenne: return "mersenne";
-      default: panic("bad hash kind %d", static_cast<int>(kind));
-    }
-}
-
-const char *
-replKindName(ReplKind kind)
-{
-    switch (kind) {
-      case ReplKind::LRU: return "lru";
-      case ReplKind::TreePLRU: return "tree-plru";
-      case ReplKind::Random: return "random";
-      case ReplKind::FIFO: return "fifo";
-      default: panic("bad repl kind %d", static_cast<int>(kind));
-    }
-}
-
-const char *
-prefetchKindName(PrefetchKind kind)
-{
-    switch (kind) {
-      case PrefetchKind::None: return "none";
-      case PrefetchKind::NextLine: return "next-line";
-      case PrefetchKind::Stride: return "stride";
-      case PrefetchKind::Ghb: return "ghb";
-      default: panic("bad prefetch kind %d", static_cast<int>(kind));
-    }
-}
-
 void
 CacheParams::validate() const
 {

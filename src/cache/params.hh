@@ -33,10 +33,6 @@ enum class PrefetchKind : uint8_t
     None, NextLine, Stride, Ghb, NumKinds
 };
 
-const char *hashKindName(HashKind kind);
-const char *replKindName(ReplKind kind);
-const char *prefetchKindName(PrefetchKind kind);
-
 /** One cache level's parameters. */
 struct CacheParams
 {

@@ -219,14 +219,6 @@ JsonWriter::value(const std::string &v)
     return *this;
 }
 
-JsonWriter &
-JsonWriter::rawValue(const std::string &json)
-{
-    preValue();
-    out += json;
-    return *this;
-}
-
 const std::string &
 JsonWriter::str() const
 {

@@ -73,7 +73,6 @@ class JsonWriter
     JsonWriter &value(double v);
     JsonWriter &value(uint64_t v);
     JsonWriter &value(const std::string &v);
-    JsonWriter &rawValue(const std::string &json);
     /// @}
 
     /** @return the finished document (asserts balanced nesting). */

@@ -1,5 +1,7 @@
 #include "common/thread_pool.hh"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <memory>
@@ -7,13 +9,30 @@
 namespace raceval
 {
 
+namespace
+{
+
+/** @return the CPUs the calling thread may run on (so a `taskset` run
+ *  sizes to the cores it was given), else the hardware thread count,
+ *  else 2. */
+size_t
+defaultThreadCount()
+{
+#ifdef __linux__
+    cpu_set_t set;
+    if (sched_getaffinity(0, sizeof(set), &set) == 0 && CPU_COUNT(&set) > 0)
+        return static_cast<size_t>(CPU_COUNT(&set));
+#endif
+    unsigned hw = std::thread::hardware_concurrency();
+    return hw ? hw : 2;
+}
+
+} // namespace
+
 ThreadPool::ThreadPool(size_t num_threads)
 {
-    if (num_threads == 0) {
-        num_threads = std::thread::hardware_concurrency();
-        if (num_threads == 0)
-            num_threads = 2;
-    }
+    if (num_threads == 0)
+        num_threads = defaultThreadCount();
     workers.reserve(num_threads);
     for (size_t i = 0; i < num_threads; ++i)
         workers.emplace_back([this] { workerLoop(); });

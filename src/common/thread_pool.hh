@@ -29,7 +29,9 @@ class ThreadPool
 {
   public:
     /**
-     * @param num_threads worker count; 0 selects hardware_concurrency().
+     * @param num_threads worker count; 0 selects the number of CPUs in
+     *        the calling thread's affinity mask (what `taskset` grants),
+     *        falling back to hardware_concurrency(), then to 2.
      */
     explicit ThreadPool(size_t num_threads = 0);
     ~ThreadPool();

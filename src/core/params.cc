@@ -42,20 +42,6 @@ poolOf(OpClass cls)
     }
 }
 
-const char *
-fuPoolName(FuPool pool)
-{
-    switch (pool) {
-      case FuPool::IntAlu: return "int-alu";
-      case FuPool::IntMul: return "int-mul";
-      case FuPool::FpSimd: return "fp-simd";
-      case FuPool::Load: return "load";
-      case FuPool::Store: return "store";
-      case FuPool::Branch: return "branch";
-      default: panic("bad pool %d", static_cast<int>(pool));
-    }
-}
-
 LatencyTable
 defaultLatencies()
 {

@@ -37,9 +37,6 @@ constexpr size_t numFuPools = static_cast<size_t>(FuPool::NumPools);
 /** @return the pool a timing class executes on. */
 FuPool poolOf(isa::OpClass cls);
 
-/** @return pool name for reports. */
-const char *fuPoolName(FuPool pool);
-
 /** Per-class execution latencies (cycles from issue to result). */
 using LatencyTable = std::array<unsigned, isa::numOpClasses>;
 

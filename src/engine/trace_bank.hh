@@ -37,8 +37,9 @@ struct TraceBankStats
     /** Always 0: every trace is packed. Kept only because perfbench
      *  (perfbench/src/main.cc) still reads it. */
     uint64_t spilledTraces = 0;
-    /** Always 0: no sift encoding is kept. Kept only because perfbench
-     *  (perfbench/src/main.cc) still reads it. */
+    /** Always 0: no encoded form is kept beside the packed arrays.
+     *  Kept only because perfbench (perfbench/src/main.cc) still reads
+     *  it. */
     uint64_t encodedBytes = 0;
 };
 

@@ -87,12 +87,6 @@ Assembler::loadImm(uint8_t rd, uint64_t value)
     }
 }
 
-void
-Assembler::mov(uint8_t rd, uint8_t rn)
-{
-    orr(rd, rn, regZero);
-}
-
 // --- memory --------------------------------------------------------------
 
 namespace

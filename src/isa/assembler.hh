@@ -68,8 +68,6 @@ class Assembler
     void movk(uint8_t rd, uint16_t imm, uint8_t hw);
     /** Pseudo-op: materialize an arbitrary 64-bit constant. */
     void loadImm(uint8_t rd, uint64_t value);
-    /** Pseudo-op: rd = rn (orr rd, rn, xzr). */
-    void mov(uint8_t rd, uint8_t rn);
     /// @}
 
     /// @name Memory

@@ -197,17 +197,6 @@ opClassName(OpClass cls)
     return names[idx];
 }
 
-const char *
-opKindName(OpKind kind)
-{
-    static const char *names[] = {"alu", "load", "store", "branch"};
-    static_assert(sizeof(names) / sizeof(names[0]) == numOpKinds,
-                  "opkind name table out of sync");
-    size_t idx = static_cast<size_t>(kind);
-    RV_ASSERT(idx < numOpKinds, "opKindName: bad kind %zu", idx);
-    return names[idx];
-}
-
 bool
 isBranchClass(OpClass cls)
 {

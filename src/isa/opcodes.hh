@@ -176,9 +176,6 @@ const char *opcodeName(Opcode op);
 /** @return timing-class name, e.g. "IntMul". */
 const char *opClassName(OpClass cls);
 
-/** @return dispatch-kind name, e.g. "load". */
-const char *opKindName(OpKind kind);
-
 /** @return true for any of the five branch classes. */
 bool isBranchClass(OpClass cls);
 

@@ -77,15 +77,13 @@ class SimpleCostEvaluator : public CostEvaluator
   public:
     /**
      * @param cost the cost oracle (thread-safe, deterministic).
-     * @param threads worker threads (0 = hardware concurrency).
+     * @param threads worker threads (0 = the CPUs this thread may run
+     *        on; see ThreadPool).
      */
     explicit SimpleCostEvaluator(CostFn cost, unsigned threads = 0);
 
     std::vector<double>
     evaluateMany(const std::vector<EvalPair> &pairs) override;
-
-    /** @return memoized results held. */
-    size_t cacheSize() const { return memo.size(); }
 
   private:
     /** Exact-pair hash: costs are memoized by full (configuration,

@@ -6,9 +6,10 @@
  * demonstrating how sharply accuracy degrades around the optimum.
  *
  * The paper searches exhaustively; this reproduction uses greedy
- * coordinate ascent plus randomized multi-parameter refinement, which
- * lower-bounds the true worst case (see EXPERIMENTS.md). All probes of
- * one greedy step (and all random refinements) are independent, so the
+ * coordinate ascent plus randomized multi-parameter refinement. That
+ * search visits only a subset of the one-step neighbours, so the worst
+ * error it reports is a lower bound on the true worst case. All probes
+ * of one greedy step (and all random refinements) are independent, so the
  * search evaluates them as batches -- the evaluation engine
  * deduplicates and caches them across the sweep.
  */

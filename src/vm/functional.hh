@@ -70,9 +70,6 @@ class FunctionalCore : public TraceSource
     const std::string &name() const override { return prog.name; }
     const isa::Program *program() const override { return &prog; }
 
-    /** @return dynamic instructions emitted since the last reset. */
-    uint64_t instsExecuted() const { return instCount; }
-
     /** @return architectural registers (for tests). */
     const RegFile &regs() const { return regFile; }
 

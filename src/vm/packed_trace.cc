@@ -120,8 +120,8 @@ PackedCursor::next(DynInst &out)
         return false;
     out.pc = stream.pc();
     out.inst = t->decodedAt(stream.staticIndex());
-    // Mirror SiftReader's defaults for fields the event does not carry,
-    // so cursor replay is bit-identical field-for-field.
+    // Zero the fields the event does not carry, as FunctionalCore
+    // does, so cursor replay is bit-identical field-for-field.
     bool is_mem = out.inst.isLoad || out.inst.isStore;
     out.memAddr = is_mem ? stream.memAddr() : 0;
     out.taken = out.inst.isBranch ? stream.taken() : false;

@@ -3,11 +3,10 @@
  * Structure-of-arrays packed trace representation -- the replay hot
  * path's working set.
  *
- * A sift recording interleaves varint-compressed events with static
- * decode lookups, so every replay of it would pay decode + varint cost
- * per instruction. A PackedTrace is built once per recording, straight
- * from the functional core, and splits the trace into cache-friendly
- * parallel arrays:
+ * A PackedTrace is built once per recording, straight from the
+ * functional core, and splits the dynamic stream into cache-friendly
+ * parallel arrays, so replay pays no decode and no varint cost per
+ * instruction:
  *
  *   - an 8-byte PackedStatic row per static instruction (opcode class,
  *     operand indices, memory size, flags) next to the full DecodedInst
@@ -18,12 +17,12 @@
  *     taken branch (same wide fallback).
  *
  * Nothing is stored per non-event instruction: the pc chain is implied
- * (pc + 4 except taken branches), exactly the invariant the sift format
- * encodes. Replay then streams these arrays through a PackedStream --
- * the zero-virtual-call view the timing models' replay loop is
- * templated over -- or through a PackedCursor when a generic
- * vm::TraceSource is needed. Both emit streams bit-identical to a
- * SiftReader over the same recording.
+ * (pc + 4 except taken branches). Replay then streams these arrays
+ * through a PackedStream -- the zero-virtual-call view the timing
+ * models' replay loop is templated over -- or through a PackedCursor
+ * when a generic vm::TraceSource is needed. Both emit streams
+ * bit-identical to the live FunctionalCore stream the trace was
+ * recorded from.
  */
 
 #ifndef RACEVAL_VM_PACKED_TRACE_HH
@@ -86,7 +85,9 @@ class PackedTrace
      * Pack one full recording.
      *
      * Drains @p source to completion (reset() first); the stream must
-     * execute @p prog (event pcs index its code).
+     * execute @p prog (event pcs index its code). The static decode is
+     * redone with a default isa::Decoder, so a source that exposes a
+     * fault-injected decode replays with the correct one.
      *
      * @param prog the program behind the stream.
      * @param source dynamic stream to pack (e.g. a FunctionalCore).
@@ -250,7 +251,7 @@ class PackedStream
  * Adapter giving a generic vm::TraceSource the same duck-typed stream
  * interface as PackedStream, so one templated replay loop serves both
  * the packed hot path and arbitrary sources (live functional
- * execution, sift replay) -- which is what makes the two paths
+ * execution, a PackedCursor) -- which is what makes the two paths
  * bit-identical by construction.
  */
 class SourceStream
@@ -281,7 +282,8 @@ class SourceStream
 /**
  * A packed trace replayed through the generic TraceSource interface
  * (for consumers that are not templated over streams). Emits DynInsts
- * bit-identical to a SiftReader over the same recording.
+ * bit-identical to the live FunctionalCore stream it was recorded
+ * from.
  */
 class PackedCursor final : public TraceSource
 {

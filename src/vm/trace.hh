@@ -2,7 +2,7 @@
  * @file
  * The dynamic instruction stream interface consumed by every timing
  * model (abstract Sniper-like cores and the detailed hardware stand-in
- * alike), and produced by the functional core or a SIFT trace reader.
+ * alike), and produced by the functional core or a packed trace replay.
  */
 
 #ifndef RACEVAL_VM_TRACE_HH
@@ -38,8 +38,8 @@ struct DynInst
  *
  * Timing models pull from this interface, which makes them agnostic to
  * whether the stream comes from live functional execution (the
- * DynamoRIO-style front-end) or a recorded SIFT trace (replay on
- * another machine, as the paper does on its x86 servers).
+ * DynamoRIO-style front-end) or a recorded trace (replay many times,
+ * as the paper does on its x86 servers).
  */
 class TraceSource
 {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
 #include <atomic>
 #include <set>
 
@@ -154,6 +156,26 @@ TEST(ThreadPool, RunAllDrainsBatch)
     pool.runAll(std::move(tasks));
     EXPECT_EQ(count.load(), 64);
 }
+
+#ifdef __linux__
+TEST(ThreadPool, DefaultSizeFollowsAffinity)
+{
+    // A thread pinned to one CPU (as under `taskset -c N`) gets one
+    // worker by default, however many CPUs the host has.
+    cpu_set_t saved;
+    ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+    int cpu = 0;
+    while (!CPU_ISSET(cpu, &saved))
+        ++cpu;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    size_t pinned = ThreadPool().size();
+    ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+    EXPECT_EQ(pinned, 1u);
+}
+#endif
 
 TEST(Str, SplitJoinRoundTrip)
 {

@@ -48,10 +48,14 @@ expectStreamIdentical(vm::TraceSource &replay, const isa::Program &prog)
     EXPECT_GT(count, 0u);
 }
 
-TEST(TraceBank, ReplayIdenticalToLiveExecution)
+// Property: a packed replay reproduces the live stream exactly, on
+// every event mix (memory deltas, branch targets, FP, strided stores).
+class TraceBankReplay : public ::testing::TestWithParam<const char *> {};
+
+TEST_P(TraceBankReplay, IdenticalToLiveExecution)
 {
     TraceBank bank;
-    isa::Program prog = smallProgram("CCh");
+    isa::Program prog = smallProgram(GetParam());
     size_t id = bank.add(prog);
     auto replay = bank.open(id);
     expectStreamIdentical(*replay, prog);
@@ -63,6 +67,38 @@ TEST(TraceBank, ReplayIdenticalToLiveExecution)
     EXPECT_EQ(stats.recordings, 1u);
     EXPECT_EQ(stats.replays, 2u);
     EXPECT_GT(stats.residentBytes, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Ubenches, TraceBankReplay,
+                         ::testing::Values("MC", "CCh", "CS1", "DP1d",
+                                           "MM", "STc", "CRf"));
+
+TEST(TraceBank, LargeTraceReplayIdenticalToLiveExecution)
+{
+    // Memory deltas and branch targets accumulate over the whole
+    // stream, so any drift over >= 1 Mi instructions shows.
+    TraceBank bank;
+    isa::Program prog = smallProgram("MC", 1200000);
+    size_t id = bank.add(prog);
+    ASSERT_GE(bank.instCount(id), uint64_t{1} << 20);
+    expectStreamIdentical(*bank.open(id), prog);
+}
+
+TEST(TraceBank, ResetRewinds)
+{
+    TraceBank bank;
+    size_t id = bank.add(smallProgram("CCe", 5000));
+    auto replay = bank.open(id);
+    vm::DynInst d;
+    uint64_t first = 0;
+    while (replay->next(d))
+        ++first;
+    replay->reset();
+    uint64_t second = 0;
+    while (replay->next(d))
+        ++second;
+    EXPECT_EQ(first, second);
+    EXPECT_EQ(first, bank.instCount(id));
 }
 
 TEST(TraceBank, DeduplicatesIdenticalPrograms)

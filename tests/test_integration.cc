@@ -6,22 +6,23 @@
 #include "isa/assembler.hh"
 #include "core/ooo.hh"
 #include "hw/machine.hh"
-#include "sift/sift.hh"
 #include "ubench/ubench.hh"
 #include "validate/flow.hh"
 #include "vm/functional.hh"
+#include "vm/packed_trace.hh"
 #include "workload/workload.hh"
 
 using namespace raceval;
 
-TEST(Integration, SiftReplayTimesIdenticallyToLiveExecution)
+TEST(Integration, PackedReplayTimesIdenticallyToLiveExecution)
 {
     // The record/replay workflow must be timing-transparent: replaying
-    // a SIFT trace into a core model gives the same cycle count as
+    // a packed trace into a core model gives the same cycle count as
     // feeding the live functional stream.
     isa::Program prog = ubench::find("CCm")->builder(20000, true);
     vm::FunctionalCore live(prog);
-    sift::SiftReader replay(sift::encodeTrace(prog, live));
+    vm::PackedTrace packed = vm::PackedTrace::build(prog, live);
+    vm::PackedCursor replay(packed);
 
     core::InOrderCore sim(core::publicInfoA53());
     core::CoreStats from_live = sim.run(live);

@@ -1,26 +1,16 @@
 /** @file
  * Cross-cutting property tests: instruction-mix characteristics of
- * the workload stand-ins, disassembler golden strings, SIFT
- * robustness against malformed input (header death tests and a
- * deterministic hostile corpus), and cache geometry sweeps.
+ * the workload stand-ins, disassembler golden strings, packed-trace
+ * wide-delta round trips, and cache geometry sweeps.
  */
 
 #include <gtest/gtest.h>
 
-#include <sys/wait.h>
-
-#include <algorithm>
 #include <array>
-#include <csignal>
 #include <cstdint>
-#include <cstdlib>
-#include <initializer_list>
-#include <map>
-#include <vector>
 
 #include "cache/cache.hh"
 #include "isa/assembler.hh"
-#include "sift/sift.hh"
 #include "ubench/ubench.hh"
 #include "vm/functional.hh"
 #include "vm/packed_trace.hh"
@@ -132,221 +122,9 @@ TEST(Disassembler, GoldenStrings)
     EXPECT_EQ(isa::disassemble(0xffffffffu).substr(0, 5), ".word");
 }
 
-TEST(Sift, RejectsGarbageMagic)
-{
-    std::vector<uint8_t> junk(64, 0x5a);
-    EXPECT_DEATH(
-        { sift::SiftReader reader(std::move(junk)); }, "bad magic");
-}
-
-namespace
-{
-
-void
-putVarint(std::vector<uint8_t> &out, uint64_t value)
-{
-    while (value >= 0x80) {
-        out.push_back(static_cast<uint8_t>(value) | 0x80);
-        value >>= 7;
-    }
-    out.push_back(static_cast<uint8_t>(value));
-}
-
-/** Sift bytes: magic, then @p fields as LEB128 varints, then 16
- *  zero bytes of payload. */
-std::vector<uint8_t>
-siftHeader(std::initializer_list<uint64_t> fields)
-{
-    std::vector<uint8_t> out = {'R', 'V', 'S', 'I', 'F', 'T', '0', '1'};
-    for (uint64_t value : fields)
-        putVarint(out, value);
-    out.resize(out.size() + 16, 0);
-    return out;
-}
-
-} // namespace
-
-// Length fields near 2^64 must not wrap the bounds checks: each
-// oversized field is rejected as truncated, not handed to an
-// allocation that throws.
-TEST(Sift, RejectsOversizedNameLength)
-{
-    std::vector<uint8_t> bytes = siftHeader({~uint64_t{0} - 3});
-    EXPECT_DEATH({ sift::SiftReader reader(std::move(bytes)); },
-                 "truncated name");
-}
-
-TEST(Sift, RejectsOversizedCodeWordCount)
-{
-    // name "", codeBase 0, code_words 2^62 (4 * 2^62 wraps to 0).
-    std::vector<uint8_t> bytes = siftHeader({0, 0, uint64_t{1} << 62});
-    EXPECT_DEATH({ sift::SiftReader reader(std::move(bytes)); },
-                 "truncated code");
-}
-
-TEST(Sift, RejectsOversizedDataSegmentLength)
-{
-    // name "", codeBase 0, no code, one segment at 0 of length 2^64-1.
-    std::vector<uint8_t> bytes = siftHeader({0, 0, 0, 1, 0, ~uint64_t{0}});
-    EXPECT_DEATH({ sift::SiftReader reader(std::move(bytes)); },
-                 "truncated data seg");
-}
-
-TEST(Sift, TolerantOfEmptyPrograms)
-{
-    isa::Assembler a("empty");
-    a.halt();
-    isa::Program prog = a.finish();
-    vm::FunctionalCore src(prog);
-    sift::SiftReader reader(sift::encodeTrace(prog, src));
-    EXPECT_EQ(reader.instCount(), 1u);
-    vm::DynInst dyn;
-    EXPECT_TRUE(reader.next(dyn));
-    EXPECT_EQ(dyn.inst.op, isa::Opcode::Halt);
-    EXPECT_FALSE(reader.next(dyn));
-}
-
-// ------------------------------------------- sift hostile-input corpus
-
-namespace
-{
-
-/** A small real trace: a load/store loop over a data segment, so the
- *  event stream carries memory deltas and taken and not-taken
- *  branches. */
-isa::Program
-corpusProgram()
-{
-    isa::Assembler a("corpus");
-    a.loadImm(1, 0x20000);
-    a.movz(2, 5);
-    a.label("loop");
-    a.ldr(3, 1, 0);
-    a.addi(3, 3, 1);
-    a.str(3, 1, 8);
-    a.addi(1, 1, 16);
-    a.subi(2, 2, 1);
-    a.cbnz(2, "loop");
-    a.halt();
-    isa::Program prog = a.finish();
-    prog.addData(0x20000, std::vector<uint8_t>(16, 7));
-    return prog;
-}
-
-std::vector<uint8_t>
-encode(const isa::Program &prog)
-{
-    vm::FunctionalCore live(prog);
-    return sift::encodeTrace(prog, live);
-}
-
-/** Parse and drain a trace, then exit 0 (run in a death-test child). */
-[[noreturn]] void
-replayToEnd(std::vector<uint8_t> bytes)
-{
-    sift::SiftReader reader(std::move(bytes));
-    vm::DynInst dyn;
-    while (reader.next(dyn)) {
-    }
-    std::exit(0);
-}
-
-/** The child replayed to the end (exit 0) or panicked (abort). A
- *  sanitizer finding exits 1 and fails the case. */
-bool
-replayedOrPanicked(int status)
-{
-    return (WIFEXITED(status) && WEXITSTATUS(status) == 0)
-        || (WIFSIGNALED(status) && WTERMSIG(status) == SIGABRT);
-}
-
-/** The header encodeTrace lays down for @p prog (layout in sift.hh):
- *  everything before the event stream. */
-std::vector<uint8_t>
-headerOf(const isa::Program &prog, uint64_t inst_count)
-{
-    std::vector<uint8_t> out = {'R', 'V', 'S', 'I', 'F', 'T', '0', '1'};
-    putVarint(out, prog.name.size());
-    out.insert(out.end(), prog.name.begin(), prog.name.end());
-    putVarint(out, prog.codeBase);
-    putVarint(out, prog.code.size());
-    for (uint32_t word : prog.code) {
-        for (int i = 0; i < 4; ++i)
-            out.push_back(static_cast<uint8_t>(word >> (8 * i)));
-    }
-    putVarint(out, prog.data.size());
-    for (const auto &segment : prog.data) {
-        putVarint(out, segment.base);
-        putVarint(out, segment.bytes.size());
-        out.insert(out.end(), segment.bytes.begin(), segment.bytes.end());
-    }
-    putVarint(out, inst_count);
-    return out;
-}
-
-} // namespace
-
-// Every prefix of a real trace either replays in full or ends in a
-// "sift:" panic: truncation never reads past the buffer.
-TEST(SiftCorpus, TruncationAtEveryOffset)
-{
-    const std::vector<uint8_t> bytes = encode(corpusProgram());
-    for (size_t len = 0; len < bytes.size(); ++len) {
-        std::vector<uint8_t> cut(bytes.begin(),
-                                 bytes.begin() + static_cast<long>(len));
-        EXPECT_EXIT(replayToEnd(cut), replayedOrPanicked,
-                    "^$|panic: .*sift: ")
-            << "truncated to " << len << " of " << bytes.size();
-    }
-}
-
-// Every single-bit flip of the event stream either replays in full (a
-// wild address or taken flag is still a valid trace) or ends in a
-// "sift:" panic.
-TEST(SiftCorpus, EveryEventBitFlip)
-{
-    const isa::Program prog = corpusProgram();
-    const std::vector<uint8_t> bytes = encode(prog);
-    uint64_t insts = sift::SiftReader(std::vector<uint8_t>(bytes))
-                         .instCount();
-    const std::vector<uint8_t> header = headerOf(prog, insts);
-    ASSERT_LT(header.size(), bytes.size());
-    ASSERT_TRUE(std::equal(header.begin(), header.end(), bytes.begin()));
-    const size_t events = header.size();
-    for (size_t pos = events; pos < bytes.size(); ++pos) {
-        for (unsigned bit = 0; bit < 8; ++bit) {
-            std::vector<uint8_t> flipped = bytes;
-            flipped[pos] ^= static_cast<uint8_t>(1u << bit);
-            EXPECT_EXIT(replayToEnd(flipped), replayedOrPanicked,
-                        "^$|panic: .*sift: ")
-                << "bit " << bit << " of byte " << pos;
-        }
-    }
-}
-
-// A branch delta of 2^63 - 1 words must not overflow `4 * delta`:
-// deltas wrap modulo 2^64, so the target lands before the code and the
-// replay panics on the out-of-range pc.
-TEST(SiftCorpus, HugeBranchDeltaPanicsWithoutOverflow)
-{
-    isa::Assembler a("b-next");
-    a.b("next");
-    a.label("next");
-    a.halt();
-    isa::Program prog = a.finish();
-    std::vector<uint8_t> bytes = encode(prog);
-    // Events: taken byte 1, then zigzag(+1 word) == 2, last in the trace.
-    ASSERT_EQ(bytes.size(), headerOf(prog, 2).size() + 2);
-    ASSERT_EQ(bytes.back(), 2u);
-    bytes.pop_back();
-    putVarint(bytes, 0xfffffffffffffffeull); // zigzag(INT64_MAX)
-    EXPECT_EXIT(replayToEnd(bytes), ::testing::KilledBySignal(SIGABRT),
-                "sift: replay pc .* out of range");
-}
-
 // Address pairs whose difference overflows int64_t round-trip through
-// both recorded forms: sift and the packed trace.
-TEST(SiftCorpus, WideAddressJumpsRoundTrip)
+// the packed trace's wide side table.
+TEST(PackedTrace, WideAddressJumpsRoundTrip)
 {
     isa::Assembler a("wide");
     a.loadImm(1, 0x100);
@@ -357,22 +135,18 @@ TEST(SiftCorpus, WideAddressJumpsRoundTrip)
     a.halt();
     isa::Program prog = a.finish();
     vm::FunctionalCore live(prog);
-    sift::SiftReader sift_replay(sift::encodeTrace(prog, live));
     vm::PackedTrace packed = vm::PackedTrace::build(prog, live);
     vm::PackedCursor packed_replay(packed);
 
     live.reset();
-    vm::DynInst want, from_sift, from_packed;
+    vm::DynInst want, from_packed;
     uint64_t loads = 0;
     while (live.next(want)) {
-        ASSERT_TRUE(sift_replay.next(from_sift));
         ASSERT_TRUE(packed_replay.next(from_packed));
-        EXPECT_EQ(from_sift.memAddr, want.memAddr);
         EXPECT_EQ(from_packed.memAddr, want.memAddr);
         loads += want.inst.isLoad;
     }
     EXPECT_EQ(loads, 3u);
-    EXPECT_FALSE(sift_replay.next(from_sift));
     EXPECT_FALSE(packed_replay.next(from_packed));
 }
 

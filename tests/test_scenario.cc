@@ -16,7 +16,6 @@
 #include "engine/fingerprint.hh"
 #include "hw/machine.hh"
 #include "scenario/scenario.hh"
-#include "sift/sift.hh"
 #include "ubench/ubench.hh"
 #include "validate/oracle.hh"
 #include "validate/sniper_space.hh"
@@ -315,10 +314,10 @@ TEST(Scenario, FirmwareTracesLandInUpperHalfOfCap)
     }
 }
 
-TEST(Scenario, FirmwareTraceEngineMatchesLiveAndSift)
+TEST(Scenario, FirmwareTraceEngineMatchesLive)
 {
-    // A > 1 Mi-instruction firmware trace: the engine's packed replay,
-    // live functional execution and a sift round trip time identically.
+    // A > 1 Mi-instruction firmware trace: the engine's packed replay
+    // and live functional execution time identically.
     const auto &infos = workload::firmware::all();
     isa::Program prog = workload::firmware::build(infos[0]);
     core::CoreParams model = core::publicInfoCortexM();
@@ -331,8 +330,6 @@ TEST(Scenario, FirmwareTraceEngineMatchesLiveAndSift)
     auto timing = core::makeTimingModel(core::ModelFamily::InOrder, model);
     vm::FunctionalCore live(prog);
     EXPECT_EQ(timing->run(live).cpi(), engine_cpi);
-    sift::SiftReader replay(sift::encodeTrace(prog, live));
-    EXPECT_EQ(timing->run(replay).cpi(), engine_cpi);
 
     // A different model still moves the result.
     model.mispredictPenalty += 1;
