@@ -28,8 +28,10 @@ Cache::Cache(const CacheParams &params, uint64_t rng_seed)
 {
     cparams.validate();
     sets = cparams.numSets();
+    setBits = floorLog2(sets);
     indexablesets = cparams.hash == HashKind::Mersenne
         ? largestPrimeAtMost(sets) : sets;
+    primeReciprocal = ~0ull / indexablesets + 1;
     lines.assign(static_cast<size_t>(sets) * cparams.assoc, Line{});
     stamps.assign(static_cast<size_t>(sets) * cparams.assoc, 0u);
     treeBits.assign(sets, 0u);
@@ -75,17 +77,13 @@ Cache::touchTree(unsigned set, unsigned way)
 }
 
 unsigned
-Cache::chooseVictimWay(unsigned set)
+Cache::installWay(const Slot &slot)
 {
+    if (slot.way < cparams.assoc)
+        return slot.way; // an invalid way
+    unsigned set = slot.set;
     const uint32_t *set_stamps =
         &stamps[static_cast<size_t>(set) * cparams.assoc];
-    Line *set_lines = &lines[static_cast<size_t>(set) * cparams.assoc];
-
-    // Prefer an invalid way.
-    for (unsigned way = 0; way < cparams.assoc; ++way) {
-        if (!set_lines[way].valid)
-            return way;
-    }
 
     switch (cparams.repl) {
       case ReplKind::LRU:
@@ -141,7 +139,9 @@ Cache::lookupSlow(uint64_t line_addr, bool is_write, unsigned set)
         ++cstats.victimHits;
         Line restored = victim[vslot];
         victim[vslot].valid = false;
-        unsigned way = chooseVictimWay(set);
+        // The main-array scan above missed, so locate() yields the
+        // first invalid way (or a full set).
+        unsigned way = installWay(locate(line_addr));
         Line &slot = lines[static_cast<size_t>(set) * cparams.assoc + way];
         if (slot.valid) {
             // Swap: displaced line moves into the victim buffer.
@@ -167,15 +167,13 @@ Cache::lookupSlow(uint64_t line_addr, bool is_write, unsigned set)
 }
 
 Cache::FillResult
-Cache::fill(uint64_t line_addr, bool prefetched, bool is_write)
+Cache::install(const Slot &target, uint64_t line_addr, bool prefetched,
+               bool is_write)
 {
     if (prefetched)
         ++cstats.prefetchIssued;
-    if (probe(line_addr))
-        return FillResult{}; // already resident (e.g. duplicate prefetch)
-
-    unsigned set = setIndex(line_addr);
-    unsigned way = chooseVictimWay(set);
+    unsigned set = target.set;
+    unsigned way = installWay(target);
     Line &slot = lines[static_cast<size_t>(set) * cparams.assoc + way];
 
     FillResult result;
@@ -209,15 +207,12 @@ Cache::fill(uint64_t line_addr, bool prefetched, bool is_write)
 void
 Cache::writebackInto(uint64_t line_addr)
 {
-    unsigned set = setIndex(line_addr);
-    Line *set_lines = &lines[static_cast<size_t>(set) * cparams.assoc];
-    for (unsigned way = 0; way < cparams.assoc; ++way) {
-        if (set_lines[way].valid && set_lines[way].lineAddr == line_addr) {
-            set_lines[way].dirty = true;
-            return;
-        }
-    }
-    fill(line_addr, false, true);
+    Slot slot = locate(line_addr);
+    if (slot.resident)
+        lines[static_cast<size_t>(slot.set) * cparams.assoc + slot.way]
+            .dirty = true;
+    else
+        install(slot, line_addr, false, true);
 }
 
 } // namespace raceval::cache

@@ -100,29 +100,73 @@ class Cache
         uint64_t evictedLine = 0;
     };
 
+    /** Where a line sits in its set, or where installing it goes. */
+    struct Slot
+    {
+        unsigned set = 0;
+        /** The resident way; else the first invalid way; else assoc
+         *  (full set: install asks the replacement policy). */
+        unsigned way = 0;
+        bool resident = false;
+    };
+
     /**
-     * Install a line (after a miss was serviced below).
+     * One scan of the line's set that finds the resident way or the
+     * first invalid one (no state update). The valid ways of a set are
+     * always a prefix: installs take the first invalid way and only
+     * reset() invalidates lines, so the scan stops at the first
+     * invalid way.
+     */
+    Slot
+    locate(uint64_t line_addr) const
+    {
+        Slot slot;
+        slot.set = setIndex(line_addr);
+        const Line *set_lines =
+            &lines[static_cast<size_t>(slot.set) * cparams.assoc];
+        unsigned way = 0;
+        for (; way < cparams.assoc; ++way) {
+            const Line &line = set_lines[way];
+            if (!line.valid)
+                break;
+            if (line.lineAddr == line_addr) {
+                slot.resident = true;
+                break;
+            }
+        }
+        slot.way = way;
+        return slot;
+    }
+
+    /**
+     * Install a line at the non-resident slot locate() returned; no
+     * other fill of this cache may come in between.
      *
      * @param line_addr line to install.
      * @param prefetched marks the line as prefetcher-brought.
      * @param is_write install dirty (write-allocate).
      */
-    FillResult fill(uint64_t line_addr, bool prefetched, bool is_write);
+    FillResult install(const Slot &slot, uint64_t line_addr,
+                       bool prefetched, bool is_write);
+
+    /**
+     * Install a line (after a miss was serviced below); a no-op when
+     * it is already resident (e.g. duplicate prefetch).
+     */
+    FillResult
+    fill(uint64_t line_addr, bool prefetched, bool is_write)
+    {
+        Slot slot = locate(line_addr);
+        if (slot.resident) {
+            if (prefetched)
+                ++cstats.prefetchIssued;
+            return FillResult{};
+        }
+        return install(slot, line_addr, prefetched, is_write);
+    }
 
     /** @return true when the line is resident (no state update). */
-    bool
-    probe(uint64_t line_addr) const
-    {
-        unsigned set = setIndex(line_addr);
-        const Line *set_lines =
-            &lines[static_cast<size_t>(set) * cparams.assoc];
-        for (unsigned way = 0; way < cparams.assoc; ++way) {
-            if (set_lines[way].valid
-                && set_lines[way].lineAddr == line_addr)
-                return true;
-        }
-        return false;
-    }
+    bool probe(uint64_t line_addr) const { return locate(line_addr).resident; }
 
     /**
      * Mark a resident line dirty (dirty writeback arriving from the
@@ -147,16 +191,23 @@ class Cache
           case HashKind::Mask:
             return static_cast<unsigned>(line_addr & (sets - 1));
           case HashKind::Xor: {
-            unsigned set_bits = floorLog2(sets);
-            uint64_t folded = line_addr ^ (line_addr >> set_bits)
-                ^ (line_addr >> (2 * set_bits));
+            uint64_t folded = line_addr ^ (line_addr >> setBits)
+                ^ (line_addr >> (2 * setBits));
             return static_cast<unsigned>(folded & (sets - 1));
           }
           default:
             // Prime-modulo indexing (Kharbutli et al.): spreads
             // conflict streams at the cost of leaving sets - prime
-            // sets unused.
-            return static_cast<unsigned>(line_addr % indexablesets);
+            // sets unused. Below 2^32 the remainder comes from the
+            // precomputed reciprocal (Lemire et al., "Faster remainder
+            // by direct computation", 2019), exact for 32-bit
+            // numerator and divisor.
+            if (line_addr >> 32)
+                return static_cast<unsigned>(line_addr % indexablesets);
+            return static_cast<unsigned>(
+                (static_cast<unsigned __int128>(primeReciprocal
+                                                * line_addr)
+                 * indexablesets) >> 64);
         }
     }
 
@@ -170,7 +221,9 @@ class Cache
     };
 
     unsigned victimFind(uint64_t line_addr) const;
-    unsigned chooseVictimWay(unsigned set);
+    /** Way to install into at a non-resident slot: its invalid way,
+     *  else the replacement policy's victim. */
+    unsigned installWay(const Slot &slot);
     LookupResult lookupSlow(uint64_t line_addr, bool is_write,
                             unsigned set);
     void touchTree(unsigned set, unsigned way);
@@ -191,7 +244,10 @@ class Cache
 
     CacheParams cparams;
     unsigned sets;
+    unsigned setBits;       //!< log2(sets), the Xor fold distance
     unsigned indexablesets; //!< Mersenne hashing maps into [0, prime)
+    /** 2^64 / indexablesets rounded up (Mersenne remainder). */
+    uint64_t primeReciprocal;
     std::vector<Line> lines;      //!< sets x assoc
     /** LRU / FIFO ordering stamps, sets x assoc (flat: one allocation
      *  instead of a heap vector per set). */

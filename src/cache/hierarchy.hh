@@ -10,7 +10,8 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <optional>
+#include <vector>
 
 #include "cache/cache.hh"
 #include "cache/dram.hh"
@@ -29,6 +30,110 @@ struct AccessResult
     unsigned latency = 0;
     ServedBy servedBy = ServedBy::L1;
     bool victimHit = false;
+};
+
+/**
+ * In-flight prefetch arrival times keyed by line address: an
+ * open-addressing map with linear probing that allocates only when it
+ * grows, never per entry. Erasing shifts the rest of the probe chain
+ * back, so there are no tombstones and a lookup stops at the first
+ * empty slot.
+ */
+class InFlightTable
+{
+  public:
+    InFlightTable();
+
+    /** Insert or overwrite the arrival time of @p line. */
+    void
+    assign(uint64_t line, uint64_t ready)
+    {
+        if (line == emptyLine) {
+            count += !hasEmptyLine;
+            hasEmptyLine = true;
+            emptyLineReady = ready;
+            return;
+        }
+        size_t i = homeSlot(line);
+        for (;; i = (i + 1) & mask) {
+            Slot &slot = slots[i];
+            if (slot.line == line) {
+                slot.ready = ready;
+                return;
+            }
+            if (slot.line == emptyLine)
+                break;
+        }
+        if ((count + 1) * 4 > slots.size() * 3) {
+            grow();
+            i = homeSlot(line);
+            while (slots[i].line != emptyLine)
+                i = (i + 1) & mask;
+        }
+        slots[i] = Slot{line, ready};
+        ++count;
+    }
+
+    /** Remove @p line; @return its arrival time when it was present. */
+    std::optional<uint64_t>
+    take(uint64_t line)
+    {
+        if (line == emptyLine) {
+            if (!hasEmptyLine)
+                return std::nullopt;
+            hasEmptyLine = false;
+            --count;
+            return emptyLineReady;
+        }
+        for (size_t i = homeSlot(line);; i = (i + 1) & mask) {
+            if (slots[i].line == line) {
+                uint64_t ready = slots[i].ready;
+                erase(i);
+                return ready;
+            }
+            if (slots[i].line == emptyLine)
+                return std::nullopt;
+        }
+    }
+
+    /** @return number of entries. */
+    size_t size() const { return count; }
+
+    /** Drop every entry (keeps the capacity). */
+    void clear();
+
+    /** @return number of slots (exposed for tests). */
+    size_t capacity() const { return slots.size(); }
+
+    /** @return the slot a line's probe chain starts at: Fibonacci
+     *  hashing, the top log2(capacity) bits of line * 2^64/phi
+     *  (exposed for tests). */
+    size_t
+    homeSlot(uint64_t line) const
+    {
+        return static_cast<size_t>((line * 0x9e3779b97f4a7c15ull)
+                                   >> shift);
+    }
+
+  private:
+    /** Marks an empty slot; the line with this address lives aside. */
+    static constexpr uint64_t emptyLine = ~0ull;
+
+    struct Slot
+    {
+        uint64_t line = emptyLine;
+        uint64_t ready = 0;
+    };
+
+    void erase(size_t hole);
+    void grow();
+
+    std::vector<Slot> slots; //!< power-of-two capacity
+    size_t mask;
+    unsigned shift; //!< 64 - log2(capacity)
+    size_t count = 0;
+    bool hasEmptyLine = false;
+    uint64_t emptyLineReady = 0;
 };
 
 /**
@@ -56,7 +161,7 @@ class MemoryHierarchy
     access(uint64_t pc, uint64_t addr, bool is_store, bool is_inst,
            uint64_t now)
     {
-        uint64_t line = addr / lineBytes();
+        uint64_t line = lineOf(addr);
         Cache &level1 = is_inst ? l1iCache : l1dCache;
         const CacheParams &l1p = is_inst ? hparams.l1i : hparams.l1d;
         Prefetcher *l1pf =
@@ -93,6 +198,10 @@ class MemoryHierarchy
     /** @return line size shared by all levels. */
     unsigned lineBytes() const { return hparams.l1d.lineBytes; }
 
+    /** @return the line address of a byte address (line sizes are
+     *  validated powers of two). */
+    uint64_t lineOf(uint64_t addr) const { return addr >> lineShift; }
+
   private:
     void runPrefetcher(Prefetcher *prefetcher, Cache &level1,
                        uint64_t pc, uint64_t line, bool miss,
@@ -109,6 +218,7 @@ class MemoryHierarchy
                         AccessResult &result);
 
     HierarchyParams hparams;
+    unsigned lineShift; //!< log2(lineBytes())
     Cache l1iCache;
     Cache l1dCache;
     Cache l2Cache;
@@ -119,7 +229,7 @@ class MemoryHierarchy
     std::vector<uint64_t> prefetchScratch;
 
     /** In-flight prefetch arrival times (timedPrefetch only). */
-    std::unordered_map<uint64_t, uint64_t> inFlight;
+    InFlightTable inFlight;
 };
 
 } // namespace raceval::cache

@@ -78,22 +78,23 @@ GhbPrefetcher::reset()
     written = 0;
 }
 
-std::vector<uint64_t>
-GhbPrefetcher::history(uint64_t pc, unsigned n) const
+unsigned
+GhbPrefetcher::history(uint64_t pc,
+                       std::array<uint64_t, historyDepth> &lines) const
 {
-    std::vector<uint64_t> lines;
+    unsigned found = 0;
     int64_t seq = indexTable[(pc >> 2) & (indexTable.size() - 1)];
     // Follow the per-pc chain, newest first, stopping when a link has
     // been overwritten by the circular buffer (seq mismatch).
-    while (seq >= 0 && lines.size() < n) {
+    while (seq >= 0 && found < lines.size()) {
         const GhbEntry &entry =
-            ghb[static_cast<uint64_t>(seq) % ghb.size()];
+            ghb[static_cast<uint64_t>(seq) & (ghb.size() - 1)];
         if (!entry.valid || entry.seq != static_cast<uint64_t>(seq))
             break;
-        lines.push_back(entry.lineAddr);
+        lines[found++] = entry.lineAddr;
         seq = entry.prevSeq;
     }
-    return lines;
+    return found;
 }
 
 void
@@ -105,15 +106,15 @@ GhbPrefetcher::observe(uint64_t pc, uint64_t line_addr, bool miss,
 
     size_t index = (pc >> 2) & (indexTable.size() - 1);
     // Insert into the GHB, linking to this pc's previous miss.
-    ghb[written % ghb.size()] =
+    ghb[written & (ghb.size() - 1)] =
         GhbEntry{line_addr, written, indexTable[index], true};
     indexTable[index] = static_cast<int64_t>(written);
     ++written;
 
     // Delta correlation: use the last three misses of this pc to form
     // two deltas and project the chain forward.
-    std::vector<uint64_t> recent = history(pc, 3);
-    if (recent.size() < 3)
+    std::array<uint64_t, historyDepth> recent;
+    if (history(pc, recent) < historyDepth)
         return;
     int64_t d1 = static_cast<int64_t>(recent[0])
         - static_cast<int64_t>(recent[1]);

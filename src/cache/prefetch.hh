@@ -9,6 +9,7 @@
 #ifndef RACEVAL_CACHE_PREFETCH_HH
 #define RACEVAL_CACHE_PREFETCH_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -109,8 +110,15 @@ class GhbPrefetcher : public Prefetcher
     uint64_t written = 0;            //!< total entries ever written
     unsigned degree;
 
-    /** Walk the pc chain collecting up to n recent line addrs. */
-    std::vector<uint64_t> history(uint64_t pc, unsigned n) const;
+    /** Misses of one pc the delta correlation reads. */
+    static constexpr unsigned historyDepth = 3;
+
+    /**
+     * Walk the pc chain, newest first, into @p lines.
+     * @return how many recent line addresses were found.
+     */
+    unsigned history(uint64_t pc,
+                     std::array<uint64_t, historyDepth> &lines) const;
 };
 
 /** Factory from CacheParams; returns nullptr for PrefetchKind::None. */

@@ -17,6 +17,9 @@ ContentionModel::ContentionModel(const CoreParams &params)
         pools[pool].cycleStamp.assign(rateWindow, ~0ull);
         pools[pool].startedInCycle.assign(rateWindow, 0);
     }
+    for (size_t cls = 0; cls < isa::numOpClasses; ++cls)
+        poolIndex[cls] = static_cast<uint8_t>(
+            poolOf(static_cast<OpClass>(cls)));
     pipelined.fill(true);
     pipelined[static_cast<size_t>(OpClass::IntDiv)] =
         params.intDivPipelined;
@@ -28,7 +31,7 @@ ContentionModel::ContentionModel(const CoreParams &params)
 uint64_t
 ContentionModel::earliestFree(OpClass cls) const
 {
-    const Pool &pool = pools[static_cast<size_t>(poolOf(cls))];
+    const Pool &pool = pools[poolIndex[static_cast<size_t>(cls)]];
     if (pipelined[static_cast<size_t>(cls)])
         return 0; // rate-limited pools accept new ops every cycle
     uint64_t best = pool.freeAt[0];
@@ -42,7 +45,7 @@ ContentionModel::earliestFree(OpClass cls) const
 bool
 ContentionModel::canStartAt(OpClass cls, uint64_t cycle) const
 {
-    const Pool &pool = pools[static_cast<size_t>(poolOf(cls))];
+    const Pool &pool = pools[poolIndex[static_cast<size_t>(cls)]];
     if (pipelined[static_cast<size_t>(cls)]) {
         size_t slot = static_cast<size_t>(cycle % rateWindow);
         return pool.cycleStamp[slot] != cycle

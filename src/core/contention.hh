@@ -42,7 +42,7 @@ class ContentionModel
     uint64_t
     reserve(isa::OpClass cls, uint64_t ready)
     {
-        Pool &pool = pools[static_cast<size_t>(poolOf(cls))];
+        Pool &pool = pools[poolIndex[static_cast<size_t>(cls)]];
 
         if (pipelined[static_cast<size_t>(cls)]) {
             // Pipelined units accept one op per unit per cycle. Model
@@ -117,6 +117,8 @@ class ContentionModel
     };
 
     std::array<Pool, numFuPools> pools;
+    /** poolOf() per timing class, looked up once at construction. */
+    std::array<uint8_t, isa::numOpClasses> poolIndex;
     LatencyTable latency;
     std::array<bool, isa::numOpClasses> pipelined;
 };

@@ -51,7 +51,7 @@ struct FetchFrontEnd
     fetch(cache::MemoryHierarchy &mem, const CoreParams &params,
           uint64_t pc, uint64_t now)
     {
-        uint64_t line = pc / mem.lineBytes();
+        uint64_t line = mem.lineOf(pc);
         if (line == lastLine)
             return;
         lastLine = line;

@@ -114,7 +114,7 @@ InOrderCore::stepNonAlu(const Stream &s, OpKind kind, uint64_t done,
             // hit-under-miss).
             uint64_t access_at = st.cycle;
             size_t slot = mshrFree.size();
-            if (!mem.l1d().probe(s.memAddr() / mem.lineBytes())) {
+            if (!mem.l1d().probe(mem.lineOf(s.memAddr()))) {
                 slot = 0;
                 for (size_t i = 1; i < mshrFree.size(); ++i) {
                     if (mshrFree[i] < mshrFree[slot])

@@ -144,7 +144,7 @@ OooCore::step(const Stream &s)
             // which also spaces out its DRAM arrival time.
             uint64_t access_at = start;
             size_t slot = mshrFree.size();
-            if (!mem.l1d().probe(s.memAddr() / mem.lineBytes())) {
+            if (!mem.l1d().probe(mem.lineOf(s.memAddr()))) {
                 slot = 0;
                 for (size_t i = 1; i < mshrFree.size(); ++i) {
                     if (mshrFree[i] < mshrFree[slot])

@@ -139,10 +139,12 @@ class OooCore : public TimingModel
      * every kind: the precomputed 2-bit kind tag gates the LQ / SQ,
      * memory and predictor work. @tparam Profiled selects the
      * step-cost-profiler instantiation (obs/step_profiler.hh); the
-     * replay loop picks it once per run.
+     * replay loop picks it once per run. Forced inline into that loop
+     * (as the in-order step already is): the compiler's size limit
+     * otherwise leaves one call per replayed instruction.
      */
     template <bool Profiled, class Stream>
-    void step(const Stream &s);
+    [[gnu::always_inline]] inline void step(const Stream &s);
 
     bool forwardedFromStore(uint64_t addr, unsigned size,
                             uint64_t now) const;

@@ -1,11 +1,18 @@
-/** @file Cache, prefetcher, DRAM and hierarchy tests. */
+/** @file Cache, prefetcher, DRAM, in-flight table and hierarchy tests. */
 
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <set>
+#include <unordered_map>
+#include <vector>
 
 #include "cache/cache.hh"
 #include "cache/dram.hh"
 #include "cache/hierarchy.hh"
 #include "cache/prefetch.hh"
+#include "common/rng.hh"
+#include "scenario/scenario.hh"
 
 using namespace raceval;
 using namespace raceval::cache;
@@ -154,6 +161,172 @@ TEST(Cache, MersennePrimeHelper)
     EXPECT_EQ(largestPrimeAtMost(64), 61u);
     EXPECT_EQ(largestPrimeAtMost(128), 127u);
     EXPECT_EQ(largestPrimeAtMost(2), 2u);
+}
+
+// The raced spaces race the hash, not the geometry: every (size,
+// assoc, line) a race can build is a target's public-info level or
+// its hidden board's. On each, the precomputed Xor fold distance and
+// the reciprocal Mersenne remainder must equal the reference formula,
+// below 2^32 and above it.
+TEST(Cache, SetIndexMatchesReferenceOnTargetGeometries)
+{
+    std::vector<CacheParams> geometries;
+    for (const scenario::TargetBoard &target : scenario::targets()) {
+        for (const HierarchyParams &mem :
+             {target.publicInfo().mem, target.secret().core.mem}) {
+            for (const CacheParams *level : {&mem.l1i, &mem.l1d, &mem.l2})
+                geometries.push_back(*level);
+        }
+    }
+    Rng rng(7);
+    std::vector<uint64_t> lines = {0, 1, 60, 61, 62, 0xfffffffeull,
+                                   0xffffffffull, 1ull << 32,
+                                   (1ull << 32) + 1, ~0ull - 1, ~0ull};
+    for (int i = 0; i < 3000; ++i) {
+        uint64_t r = rng.next();
+        lines.push_back(r);
+        lines.push_back(r >> 32);
+        lines.push_back(r >> rng.nextBelow(64));
+    }
+    for (CacheParams geometry : geometries) {
+        unsigned sets = geometry.numSets();
+        unsigned bits = floorLog2(sets);
+        unsigned prime = largestPrimeAtMost(sets);
+        for (HashKind hash :
+             {HashKind::Mask, HashKind::Xor, HashKind::Mersenne}) {
+            geometry.hash = hash;
+            Cache cache(geometry);
+            for (uint64_t line : lines) {
+                uint64_t want = line & (sets - 1);
+                if (hash == HashKind::Xor)
+                    want = (line ^ (line >> bits) ^ (line >> (2 * bits)))
+                        & (sets - 1);
+                else if (hash == HashKind::Mersenne)
+                    want = line % prime;
+                ASSERT_EQ(cache.setIndex(line), want)
+                    << geometry.name << " " << geometry.sizeBytes << "B/"
+                    << geometry.assoc << "-way hash "
+                    << static_cast<int>(hash) << " line " << line;
+            }
+        }
+    }
+}
+
+namespace
+{
+
+/** @return @p n random lines whose probe chains start at @p slot. */
+std::vector<uint64_t>
+linesHomedAt(const InFlightTable &table, size_t slot, size_t n, Rng &rng)
+{
+    std::vector<uint64_t> lines;
+    while (lines.size() < n) {
+        uint64_t line = rng.next();
+        if (table.homeSlot(line) == slot)
+            lines.push_back(line);
+    }
+    return lines;
+}
+
+/**
+ * One random assign or take of a pool line on the table and on the
+ * oracle map, then compare the results and the sizes.
+ */
+::testing::AssertionResult
+stepBoth(InFlightTable &table, std::unordered_map<uint64_t, uint64_t> &oracle,
+         const std::vector<uint64_t> &pool, unsigned assign_pct, Rng &rng)
+{
+    uint64_t line = pool[rng.nextBelow(pool.size())];
+    if (rng.nextBelow(100) < assign_pct) {
+        uint64_t ready = rng.next();
+        table.assign(line, ready);
+        oracle[line] = ready;
+    } else {
+        std::optional<uint64_t> got = table.take(line);
+        auto it = oracle.find(line);
+        if (got.has_value() != (it != oracle.end()))
+            return ::testing::AssertionFailure()
+                << "take(" << line << ") presence differs";
+        if (got) {
+            if (*got != it->second)
+                return ::testing::AssertionFailure()
+                    << "take(" << line << ") = " << *got << " want "
+                    << it->second;
+            oracle.erase(it);
+        }
+    }
+    if (table.size() != oracle.size())
+        return ::testing::AssertionFailure()
+            << "size " << table.size() << " want " << oracle.size();
+    return ::testing::AssertionSuccess();
+}
+
+} // namespace
+
+// Differential test of the hierarchy's in-flight prefetch table
+// against std::unordered_map: random assign / take / size / clear
+// sequences, growth past the hierarchy's 4096-entry clear point,
+// deletions inside probe chains that wrap from the last slot to the
+// first, and the one line address that doubles as the empty marker.
+TEST(InFlightTable, MatchesUnorderedMapOracle)
+{
+    Rng rng(2019);
+    InFlightTable table;
+    std::unordered_map<uint64_t, uint64_t> oracle;
+
+    auto wrapPool = [&] {
+        // Four lines homed at each of the last two slots and the first
+        // one: their chains overlap and wrap.
+        size_t cap = table.capacity();
+        std::vector<uint64_t> pool;
+        for (size_t slot : {cap - 2, cap - 1, size_t{0}}) {
+            std::vector<uint64_t> homed = linesHomedAt(table, slot, 4, rng);
+            pool.insert(pool.end(), homed.begin(), homed.end());
+        }
+        return pool;
+    };
+
+    // Small table, wrapped chains only.
+    std::vector<uint64_t> pool = wrapPool();
+    for (int i = 0; i < 20000; ++i)
+        ASSERT_TRUE(stepBoth(table, oracle, pool, 55, rng)) << "step " << i;
+
+    // Grow well past 4096 entries: random lines, a dense run of small
+    // ones, the empty-marker line and the wrapped lines.
+    for (int i = 0; i < 12000; ++i)
+        pool.push_back(rng.next() >> rng.nextBelow(40));
+    for (uint64_t line = 0; line < 64; ++line)
+        pool.push_back(line);
+    pool.push_back(~0ull);
+    size_t peak = 0;
+    for (int i = 0; i < 40000; ++i) {
+        ASSERT_TRUE(stepBoth(table, oracle, pool, 80, rng)) << "grow " << i;
+        peak = std::max(peak, table.size());
+    }
+    EXPECT_GT(peak, 4096u);
+
+    // Churn at the grown capacity, with wrapped chains at its end and
+    // occasional clears.
+    std::vector<uint64_t> wrapped = wrapPool();
+    pool.insert(pool.end(), wrapped.begin(), wrapped.end());
+    for (int i = 0; i < 100000; ++i) {
+        if (rng.nextBelow(20000) == 0) {
+            table.clear();
+            oracle.clear();
+            ASSERT_EQ(table.size(), 0u);
+        }
+        unsigned assign_pct = i % 20000 < 10000 ? 70 : 35;
+        ASSERT_TRUE(stepBoth(table, oracle, pool, assign_pct, rng))
+            << "churn " << i;
+    }
+
+    // A cleared table keeps nothing, the empty-marker line included.
+    table.assign(~0ull, 5);
+    table.clear();
+    EXPECT_EQ(table.size(), 0u);
+    EXPECT_FALSE(table.take(~0ull).has_value());
+    for (uint64_t line : pool)
+        EXPECT_FALSE(table.take(line).has_value());
 }
 
 TEST(Prefetch, StrideDetectsAfterConfidence)

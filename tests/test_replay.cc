@@ -1,6 +1,7 @@
 /** @file Packed-replay determinism tests: a core rerun on one trace
  *  matches a fresh core for every timing family, packed replay matches
- *  the generic TraceSource run, and the v3
+ *  the generic TraceSource run, replay of seeded raced configurations
+ *  matches recorded CoreStats digests, and the v3
  *  (sorted, mmap-able) EvalCache file format and its mapper under
  *  hostile input. */
 
@@ -14,6 +15,8 @@
 #include <vector>
 #include <unistd.h>
 
+#include "cache/params.hh"
+#include "common/rng.hh"
 #include "core/inorder.hh"
 #include "core/interval.hh"
 #include "core/ooo.hh"
@@ -22,9 +25,12 @@
 #include "engine/eval_cache.hh"
 #include "engine/trace_bank.hh"
 #include "isa/assembler.hh"
+#include "scenario/scenario.hh"
 #include "ubench/ubench.hh"
+#include "validate/sniper_space.hh"
 #include "vm/functional.hh"
 #include "vm/packed_trace.hh"
+#include "workload/firmware.hh"
 
 using namespace raceval;
 using core::ModelFamily;
@@ -129,6 +135,122 @@ TEST(PackedReplay, PackedMatchesSourceRun)
                            core::makeTimingModel(family, params)->run(trace),
                            core::modelFamilyName(family));
     }
+}
+
+// ------------------------------------------------------ digest lock
+
+namespace
+{
+
+/** FNV-1a over every CoreStats counter. */
+uint64_t
+statsDigest(const core::CoreStats &s, uint64_t h)
+{
+    const uint64_t fields[] = {
+        s.instructions, s.cycles, s.branch.branches,
+        s.branch.mispredicts, s.branch.directionMispredicts,
+        s.branch.targetMispredicts, s.l1iMisses, s.l1dAccesses,
+        s.l1dMisses, s.l2Misses, s.dramReads};
+    for (uint64_t v : fields) {
+        for (int byte = 0; byte < 8; ++byte) {
+            h ^= (v >> (8 * byte)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    }
+    return h;
+}
+
+/** Memory ubenches plus one firmware trace, at test-sized lengths. */
+std::vector<vm::PackedTrace>
+digestWorkloads()
+{
+    std::vector<vm::PackedTrace> traces;
+    for (const char *name : {"MC", "MCS", "MD", "MIP", "ML2", "MM", "STc"})
+        traces.push_back(packProgram(smallProgram(name, 24000)));
+    const workload::firmware::FirmwareInfo *fw =
+        workload::firmware::find("fw-list-walk");
+    EXPECT_NE(fw, nullptr);
+    traces.push_back(packProgram(fw->builder(40000)));
+    return traces;
+}
+
+/** Recorded digest of one (target, family) row. */
+struct DigestRow
+{
+    const char *target;
+    ModelFamily family;
+    uint64_t digest;
+};
+
+} // namespace
+
+// Replay of seeded random raced configurations must reproduce the
+// CoreStats recorded before the hot-path memory structures (in-flight
+// table, single-scan fill, precomputed set hashing, shift line
+// addressing, pool-index table) were rewritten. The configurations
+// cover every prefetch kind and every replacement policy, Random with
+// a victim buffer included, with timed prefetch on (every public-info
+// model turns it on).
+TEST(ReplayDigest, RacedConfigsMatchRecordedDigests)
+{
+    const DigestRow recorded[] = {
+        {"cortex-a53", ModelFamily::InOrder,
+         0xf7e2fe614145d00cull},
+        {"cortex-a53", ModelFamily::Interval,
+         0x2b4d32694fa159cdull},
+        {"cortex-a72", ModelFamily::Ooo,
+         0xf4d069b24514d7dcull},
+        {"cortex-m-class", ModelFamily::InOrder,
+         0xe4568f029fe63372ull},
+        {"cortex-m-class", ModelFamily::Ooo,
+         0xc9eb65125bc72380ull},
+        {"cortex-m-class", ModelFamily::Interval,
+         0xd7a0511a62c578ddull},
+    };
+    constexpr size_t configsPerRow = 8;
+    std::vector<vm::PackedTrace> traces = digestWorkloads();
+
+    std::vector<bool> pf_seen(size_t(cache::PrefetchKind::NumKinds));
+    std::vector<bool> repl_seen(size_t(cache::ReplKind::NumKinds));
+    bool random_with_victim = false;
+    for (const DigestRow &row : recorded) {
+        const scenario::TargetBoard &target =
+            scenario::targetOrDie(row.target);
+        ASSERT_TRUE(target.allows(row.family));
+        validate::SniperParamSpace space(row.family, target.clamp);
+        core::CoreParams base = target.publicInfo();
+        ASSERT_TRUE(base.mem.timedPrefetch) << row.target;
+        Rng rng(0x5eedull + target.fingerprintSalt
+                + static_cast<uint64_t>(row.family));
+        uint64_t digest = 0xcbf29ce484222325ull;
+        for (size_t k = 0; k < configsPerRow; ++k) {
+            tuner::Configuration config(space.space().size());
+            for (size_t i = 0; i < config.size(); ++i)
+                config[i] = static_cast<uint16_t>(
+                    rng.nextBelow(space.space().at(i).cardinality()));
+            core::CoreParams params = space.apply(config, base);
+            for (const cache::CacheParams *level :
+                 {&params.mem.l1d, &params.mem.l2}) {
+                if (level == &params.mem.l2 && !params.mem.l2Present)
+                    continue;
+                pf_seen[size_t(level->prefetch)] = true;
+                repl_seen[size_t(level->repl)] = true;
+                random_with_victim |= level->repl == cache::ReplKind::Random
+                    && level->victimEntries > 0;
+            }
+            auto model = core::makeTimingModel(row.family, params);
+            for (const vm::PackedTrace &trace : traces)
+                digest = statsDigest(model->run(trace), digest);
+        }
+        EXPECT_EQ(digest, row.digest)
+            << row.target << "/" << core::modelFamilyName(row.family)
+            << " digest 0x" << std::hex << digest;
+    }
+    for (size_t kind = 0; kind < pf_seen.size(); ++kind)
+        EXPECT_TRUE(pf_seen[kind]) << "prefetch kind " << kind;
+    for (size_t kind = 0; kind < repl_seen.size(); ++kind)
+        EXPECT_TRUE(repl_seen[kind]) << "replacement kind " << kind;
+    EXPECT_TRUE(random_with_victim);
 }
 
 // ---------------------------------------- classify-once dispatch identity
