@@ -203,7 +203,9 @@ class MemoryHierarchy
     uint64_t lineOf(uint64_t addr) const { return addr >> lineShift; }
 
   private:
-    void runPrefetcher(Prefetcher *prefetcher, Cache &level1,
+    /** Train @p prefetcher and install its candidates into
+     *  @p level (an L1, or the L2). */
+    void runPrefetcher(Prefetcher *prefetcher, Cache &level,
                        uint64_t pc, uint64_t line, bool miss,
                        uint64_t now);
 
