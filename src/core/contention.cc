@@ -42,18 +42,6 @@ ContentionModel::earliestFree(OpClass cls) const
     return best;
 }
 
-bool
-ContentionModel::canStartAt(OpClass cls, uint64_t cycle) const
-{
-    const Pool &pool = pools[poolIndex[static_cast<size_t>(cls)]];
-    if (pipelined[static_cast<size_t>(cls)]) {
-        size_t slot = static_cast<size_t>(cycle % rateWindow);
-        return pool.cycleStamp[slot] != cycle
-            || pool.startedInCycle[slot] < pool.units;
-    }
-    return earliestFree(cls) <= cycle;
-}
-
 void
 ContentionModel::reset()
 {

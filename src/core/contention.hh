@@ -89,8 +89,21 @@ class ContentionModel
      */
     uint64_t earliestFree(isa::OpClass cls) const;
 
-    /** @return true when an op of cls could start at `cycle`. */
-    bool canStartAt(isa::OpClass cls, uint64_t cycle) const;
+    /**
+     * @return true when an op of cls could start at `cycle`. Inline:
+     * the detailed machines ask once per issue attempt.
+     */
+    bool
+    canStartAt(isa::OpClass cls, uint64_t cycle) const
+    {
+        if (pipelined[static_cast<size_t>(cls)]) {
+            const Pool &pool = pools[poolIndex[static_cast<size_t>(cls)]];
+            size_t slot = static_cast<size_t>(cycle % rateWindow);
+            return pool.cycleStamp[slot] != cycle
+                || pool.startedInCycle[slot] < pool.units;
+        }
+        return earliestFree(cls) <= cycle;
+    }
 
     /** @return operation latency for a class (loads return 0). */
     unsigned

@@ -1,13 +1,15 @@
 #include "hw/detailed_inorder.hh"
 
+#include <algorithm>
 #include <deque>
-#include <unordered_set>
+#include <limits>
 #include <vector>
 
 #include "branch/predictor.hh"
 #include "cache/hierarchy.hh"
 #include "common/log.hh"
 #include "core/contention.hh"
+#include "hw/page_set.hh"
 
 namespace raceval::hw
 {
@@ -17,7 +19,8 @@ using isa::OpClass;
 namespace
 {
 
-constexpr uint64_t pageShift = 12;
+/** A wake-up time no cycle reaches: only a store drain can release. */
+constexpr uint64_t never = std::numeric_limits<uint64_t>::max();
 
 /** A store sitting in (or draining from) the store buffer. */
 struct StoreEntry
@@ -55,10 +58,10 @@ DetailedInOrder::rawRun(vm::TraceSource &source)
     std::vector<uint64_t> mshr_busy(cp.mem.l1d.mshrs, 0);
     std::deque<StoreEntry> store_buffer;
     uint64_t drain_busy_until = 0;
-    std::unordered_set<uint64_t> touched_pages;
-    std::unordered_set<uint64_t> stored_pages;
-    std::unordered_set<uint64_t> zero_pages;
-    std::unordered_set<uint64_t> init_pages;
+    PageSet touched_pages;
+    PageSet stored_pages;
+    PageSet zero_pages;
+    PageSet init_pages;
 
     if (const isa::Program *prog = source.program()) {
         for (const auto &segment : prog->data) {
@@ -79,7 +82,7 @@ DetailedInOrder::rawRun(vm::TraceSource &source)
     bool pending_seen = false;
 
     auto compute_fetch = [&](const vm::DynInst &dyn) {
-        uint64_t line = dyn.pc / mem.lineBytes();
+        uint64_t line = mem.lineOf(dyn.pc);
         uint64_t ready = fetch_stall_until;
         if (line != last_fetch_line) {
             last_fetch_line = line;
@@ -95,7 +98,9 @@ DetailedInOrder::rawRun(vm::TraceSource &source)
     };
 
     // Drain one store per free-port cycle, serialized at the L1D.
+    // @return true when an entry retired or started to drain.
     auto drain_stores = [&](bool port_free) {
+        bool moved = false;
         // Retire fully drained entries.
         while (!store_buffer.empty()
                && store_buffer.front().drainDone != 0
@@ -103,22 +108,29 @@ DetailedInOrder::rawRun(vm::TraceSource &source)
             if (store_buffer.front().drainDone > max_event)
                 max_event = store_buffer.front().drainDone;
             store_buffer.pop_front();
+            moved = true;
         }
         if (!port_free || store_buffer.empty())
-            return;
+            return moved;
         StoreEntry &head = store_buffer.front();
         if (head.drainDone != 0 || head.readyAt > cycle
             || drain_busy_until > cycle)
-            return;
+            return moved;
         cache::AccessResult res =
             mem.access(head.addr, head.addr, true, false, cycle);
         head.drainDone = cycle + res.latency;
         drain_busy_until = head.drainDone;
+        return true;
     };
 
+    // Event skipping: a cycle in which the pending instruction stalls
+    // and the store buffer neither retires nor starts a drain changes no
+    // state, so the clock jumps straight to the first cycle at which the
+    // stall can clear (`wake`) or the store buffer moves.
     while (have_pending || !store_buffer.empty()) {
         bool l1d_port_used = false;
         unsigned issued = 0;
+        uint64_t wake = have_pending ? cycle + 1 : never;
 
         while (have_pending && issued < cp.dispatchWidth) {
             const vm::DynInst &dyn = pending;
@@ -129,21 +141,27 @@ DetailedInOrder::rawRun(vm::TraceSource &source)
                 pending_ready_at = compute_fetch(dyn);
                 pending_seen = true;
             }
-            if (pending_ready_at > cycle)
+            if (pending_ready_at > cycle) {
+                wake = pending_ready_at;
                 break; // front end has not delivered it yet
+            }
 
             // In-order stall-on-use: operands must be ready now.
-            bool ready = true;
-            for (unsigned i = 0; i < inst.numSrcs && ready; ++i)
-                ready = reg_ready[inst.src[i]] <= cycle;
-            if (!ready)
+            uint64_t operands_at = 0;
+            for (unsigned i = 0; i < inst.numSrcs; ++i)
+                operands_at = std::max(operands_at, reg_ready[inst.src[i]]);
+            if (operands_at > cycle) {
+                wake = operands_at;
                 break;
+            }
 
             // Structural hazard: a unit of the pool must be free now
             // (peek before reserving so a stalled retry does not book
             // the unit twice).
-            if (!fus.canStartAt(cls, cycle))
+            if (!fus.canStartAt(cls, cycle)) {
+                wake = std::max(cycle + 1, fus.earliestFree(cls));
                 break;
+            }
 
             uint64_t done = cycle + fus.latencyOf(cls);
 
@@ -173,24 +191,27 @@ DetailedInOrder::rawRun(vm::TraceSource &source)
                             overlap_wait = done_at;
                     }
                 }
-                if (blocked)
-                    break; // re-attempt next cycle
+                if (blocked) {
+                    wake = never;
+                    break; // re-attempt once the store starts draining
+                }
 
                 if (forwarded && overlap_wait == 0) {
                     lat = 1; // store-buffer bypass
-                } else if (hparams.zeroPageReads && !init_pages.count(page)
-                           && !stored_pages.count(page)) {
+                } else if (hparams.zeroPageReads
+                           && !init_pages.contains(page)
+                           && !stored_pages.contains(page)) {
                     // Read of an OS page never written: the zero page.
-                    if (zero_pages.insert(page).second)
+                    if (zero_pages.insert(page))
                         lat = cp.mem.l1d.latency + hparams.pageWalkPenalty;
                     else
                         lat = cp.mem.l1d.latency;
                 } else {
                     // MSHR availability must be checked *before* the
                     // access mutates cache state; a blocked load retries
-                    // the whole lookup next cycle.
-                    bool will_miss = !mem.l1d().probe(
-                        dyn.memAddr / mem.lineBytes());
+                    // the whole lookup once an MSHR frees.
+                    bool will_miss =
+                        !mem.l1d().probe(mem.lineOf(dyn.memAddr));
                     size_t slot = 0;
                     for (size_t i = 1; i < mshr_busy.size(); ++i) {
                         if (mshr_busy[i] < mshr_busy[slot])
@@ -198,10 +219,11 @@ DetailedInOrder::rawRun(vm::TraceSource &source)
                     }
                     if (will_miss && mshr_busy[slot] > cycle) {
                         pending_ready_at = mshr_busy[slot];
+                        wake = pending_ready_at;
                         break; // pipe blocks: all MSHRs in use
                     }
                     unsigned walk = 0;
-                    if (touched_pages.insert(page).second)
+                    if (touched_pages.insert(page))
                         walk = hparams.pageWalkPenalty;
                     cache::AccessResult res =
                         mem.access(dyn.pc, dyn.memAddr, false, false,
@@ -217,13 +239,16 @@ DetailedInOrder::rawRun(vm::TraceSource &source)
                 l1d_port_used = true;
                 fus.reserve(cls, cycle);
             } else if (cls == OpClass::Store) {
-                if (store_buffer.size() >= cp.storeBufferEntries)
-                    break; // buffer full: stall issue
+                if (store_buffer.size() >= cp.storeBufferEntries) {
+                    wake = never;
+                    break; // buffer full: stall until an entry retires
+                }
                 fus.reserve(cls, cycle);
                 store_buffer.push_back(
                     StoreEntry{dyn.memAddr, inst.memSize, cycle + 1, 0});
-                stored_pages.insert(dyn.memAddr >> pageShift);
-                touched_pages.insert(dyn.memAddr >> pageShift);
+                uint64_t page = dyn.memAddr >> pageShift;
+                stored_pages.insert(page);
+                touched_pages.insert(page);
             } else if (inst.isBranch) {
                 fus.reserve(cls, cycle);
                 bool mispredict = bp.predict(dyn);
@@ -250,13 +275,34 @@ DetailedInOrder::rawRun(vm::TraceSource &source)
 
             have_pending = source.next(pending);
             pending_seen = false;
+            wake = have_pending ? cycle + 1 : never;
 
-            if (inst.isBranch)
-                break; // at most one branch per issue group
+            // A branch opens a new issue group, so a group holds at
+            // most one.
+            if (have_pending && pending.inst.isBranch)
+                break;
         }
 
-        drain_stores(!l1d_port_used);
-        ++cycle;
+        // A stall on the store buffer may clear once the buffer moves.
+        if (drain_stores(!l1d_port_used) && wake == never)
+            wake = cycle + 1;
+
+        if (!have_pending && store_buffer.empty()) {
+            ++cycle;
+            break;
+        }
+        // The store buffer next moves when its head retires or, not yet
+        // draining, may start to.
+        uint64_t drain_at = never;
+        if (!store_buffer.empty()) {
+            const StoreEntry &head = store_buffer.front();
+            drain_at = head.drainDone != 0
+                ? head.drainDone
+                : std::max(head.readyAt, drain_busy_until);
+        }
+        uint64_t next = std::min(wake, drain_at);
+        RV_ASSERT(next != never, "detailed in-order model deadlock");
+        cycle = std::max(cycle + 1, next);
     }
 
     uint64_t end = cycle > max_event ? cycle : max_event;

@@ -1,13 +1,14 @@
 #include "hw/detailed_ooo.hh"
 
+#include <bit>
 #include <deque>
-#include <unordered_set>
 #include <vector>
 
 #include "branch/predictor.hh"
 #include "cache/hierarchy.hh"
 #include "common/log.hh"
 #include "core/contention.hh"
+#include "hw/page_set.hh"
 
 namespace raceval::hw
 {
@@ -17,7 +18,6 @@ using isa::OpClass;
 namespace
 {
 
-constexpr uint64_t pageShift = 12;
 constexpr uint64_t invalidSeq = ~0ull;
 
 /** One in-flight instruction (ROB entry). */
@@ -73,10 +73,17 @@ DetailedOoO::rawRun(vm::TraceSource &source)
     uint64_t cycle = 0;
     uint64_t fetch_stall_until = 0;
     uint64_t last_fetch_line = ~0ull;
-    std::vector<RobEntry> rob(cp.robEntries);
+    // A power-of-two ring, so a slot is a mask away; robEntries, not
+    // the ring size, bounds the live window.
+    std::vector<RobEntry> rob(std::bit_ceil(size_t{cp.robEntries}));
+    const uint64_t rob_mask = rob.size() - 1;
     uint64_t rob_head = 0; //!< oldest live seq
     uint64_t rob_tail = 0; //!< next seq to allocate
-    size_t iq_count = 0;
+    /** Unissued entries (the issue queue), oldest first. */
+    std::vector<uint64_t> iq;
+    iq.reserve(cp.iqEntries);
+    /** Stores still in the ROB, oldest first. */
+    std::deque<uint64_t> rob_stores;
     size_t lq_count = 0;
     size_t sq_count = 0;
     /** Latest writer (seq) of each architectural register. */
@@ -85,10 +92,10 @@ DetailedOoO::rawRun(vm::TraceSource &source)
     std::vector<uint64_t> mshr_busy(cp.mem.l1d.mshrs, 0);
     std::deque<DrainEntry> drain_queue;
     uint64_t drain_busy_until = 0;
-    std::unordered_set<uint64_t> touched_pages;
-    std::unordered_set<uint64_t> stored_pages;
-    std::unordered_set<uint64_t> zero_pages;
-    std::unordered_set<uint64_t> init_pages;
+    PageSet touched_pages;
+    PageSet stored_pages;
+    PageSet zero_pages;
+    PageSet init_pages;
 
     if (const isa::Program *prog = source.program()) {
         for (const auto &segment : prog->data) {
@@ -108,12 +115,12 @@ DetailedOoO::rawRun(vm::TraceSource &source)
     /** Dispatch is frozen behind this unresolved mispredicted branch. */
     uint64_t mispredict_block = invalidSeq;
 
-    auto slot = [&rob](uint64_t seq) -> RobEntry & {
-        return rob[seq % rob.size()];
+    auto slot = [&rob, rob_mask](uint64_t seq) -> RobEntry & {
+        return rob[seq & rob_mask];
     };
 
     auto compute_fetch = [&](const vm::DynInst &dyn) {
-        uint64_t line = dyn.pc / mem.lineBytes();
+        uint64_t line = mem.lineOf(dyn.pc);
         uint64_t ready = fetch_stall_until;
         if (line != last_fetch_line) {
             last_fetch_line = line;
@@ -134,12 +141,10 @@ DetailedOoO::rawRun(vm::TraceSource &source)
         // --- issue: wakeup/select over the issue queue, oldest first ---
         {
             unsigned issued_loads = 0;
-            for (uint64_t seq = rob_head; seq < rob_tail; ++seq) {
-                if (iq_count == 0)
-                    break;
+            size_t kept = 0;
+            for (uint64_t seq : iq) {
+                iq[kept++] = seq; // stays queued unless it issues below
                 RobEntry &e = slot(seq);
-                if (e.issued)
-                    continue;
 
                 bool ready = true;
                 for (unsigned i = 0; i < e.numSrcs && ready; ++i) {
@@ -167,10 +172,10 @@ DetailedOoO::rawRun(vm::TraceSource &source)
                     bool forwarded = false;
                     bool blocked = false;
                     uint64_t overlap_wait = 0;
-                    for (uint64_t s = rob_head; s < seq; ++s) {
+                    for (uint64_t s : rob_stores) {
+                        if (s >= seq)
+                            break;
                         const RobEntry &st = slot(s);
-                        if (st.seq != s || !st.isStore)
-                            continue;
                         if (e.memAddr + e.memSize <= st.memAddr
                             || st.memAddr + st.memSize <= e.memAddr)
                             continue;
@@ -210,16 +215,16 @@ DetailedOoO::rawRun(vm::TraceSource &source)
                     if (forwarded && overlap_wait == 0) {
                         lat = 1;
                     } else if (hparams.zeroPageReads
-                               && !init_pages.count(page)
-                               && !stored_pages.count(page)) {
-                        if (zero_pages.insert(page).second)
+                               && !init_pages.contains(page)
+                               && !stored_pages.contains(page)) {
+                        if (zero_pages.insert(page))
                             lat = cp.mem.l1d.latency
                                 + hparams.pageWalkPenalty;
                         else
                             lat = cp.mem.l1d.latency;
                     } else {
-                        bool will_miss = !mem.l1d().probe(
-                            e.memAddr / mem.lineBytes());
+                        bool will_miss =
+                            !mem.l1d().probe(mem.lineOf(e.memAddr));
                         size_t mshr = 0;
                         for (size_t i = 1; i < mshr_busy.size(); ++i) {
                             if (mshr_busy[i] < mshr_busy[mshr])
@@ -228,7 +233,7 @@ DetailedOoO::rawRun(vm::TraceSource &source)
                         if (will_miss && mshr_busy[mshr] > cycle)
                             continue; // no MSHR: stay in the queue
                         unsigned walk = 0;
-                        if (touched_pages.insert(page).second)
+                        if (touched_pages.insert(page))
                             walk = hparams.pageWalkPenalty;
                         cache::AccessResult res = mem.access(
                             e.pc, e.memAddr, false, false, cycle);
@@ -258,8 +263,9 @@ DetailedOoO::rawRun(vm::TraceSource &source)
                     }
                 }
                 e.issued = true;
-                --iq_count;
+                --kept;
             }
+            iq.resize(kept);
         }
 
         // --- retire: oldest done entries, commitWidth per cycle --------
@@ -272,8 +278,10 @@ DetailedOoO::rawRun(vm::TraceSource &source)
                 if (e.isStore) {
                     drain_queue.push_back(DrainEntry{
                         e.memAddr, e.memSize, e.pc, e.seq, 0});
-                    stored_pages.insert(e.memAddr >> pageShift);
-                    touched_pages.insert(e.memAddr >> pageShift);
+                    rob_stores.pop_front();
+                    uint64_t page = e.memAddr >> pageShift;
+                    stored_pages.insert(page);
+                    touched_pages.insert(page);
                     // sq_count released when the drain completes.
                 } else if (e.isLoad) {
                     --lq_count;
@@ -309,9 +317,9 @@ DetailedOoO::rawRun(vm::TraceSource &source)
                     break; // waiting for a mispredicted branch to resolve
                 if (fetch_stall_until > cycle)
                     break; // front end still refilling after a redirect
-                if (rob_tail - rob_head >= rob.size())
+                if (rob_tail - rob_head >= cp.robEntries)
                     break; // ROB full
-                if (iq_count >= cp.iqEntries)
+                if (iq.size() >= cp.iqEntries)
                     break;
                 const isa::DecodedInst &inst = pending.inst;
                 bool is_load = inst.cls == OpClass::Load;
@@ -349,12 +357,14 @@ DetailedOoO::rawRun(vm::TraceSource &source)
                     e.mispredict = bp.predict(pending);
                 if (inst.hasDst())
                     last_writer[inst.dst] = rob_tail;
-                ++rob_tail;
-                ++iq_count;
+                iq.push_back(rob_tail);
                 if (is_load)
                     ++lq_count;
-                if (is_store)
+                if (is_store) {
+                    rob_stores.push_back(rob_tail);
                     ++sq_count;
+                }
+                ++rob_tail;
                 ++dispatched;
                 ++stats.instructions;
 

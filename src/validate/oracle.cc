@@ -8,17 +8,19 @@ namespace raceval::validate
 hw::PerfCounters
 HardwareOracle::measure(const isa::Program &program)
 {
+    Entry *entry;
     {
         std::lock_guard<std::mutex> lock(mutex);
-        auto it = cache.find(program.name);
-        if (it != cache.end())
-            return it->second;
+        entry = &cache[program.name];
     }
-    vm::FunctionalCore source(program);
-    hw::PerfCounters perf = machine->measure(source);
-    std::lock_guard<std::mutex> lock(mutex);
-    cache[program.name] = perf;
-    return perf;
+    // The board runs outside the map lock, so different benchmarks
+    // measure concurrently; call_once holds back every other caller
+    // for this name until the one measurement is in.
+    std::call_once(entry->measured, [&] {
+        vm::FunctionalCore source(program);
+        entry->perf = machine->measure(source);
+    });
+    return entry->perf;
 }
 
 } // namespace raceval::validate

@@ -34,7 +34,9 @@ class HardwareOracle
      * Measure a program (memoized by name).
      *
      * Thread-safe; the first caller for a name runs the detailed
-     * model, everyone else reads the cache.
+     * model, everyone else reads the cache. Callers that arrive while
+     * that measurement runs wait for it rather than measuring again;
+     * different names measure concurrently.
      */
     hw::PerfCounters measure(const isa::Program &program);
 
@@ -42,9 +44,16 @@ class HardwareOracle
     hw::HwMachine &board() { return *machine; }
 
   private:
+    /** One benchmark's measurement, made once. */
+    struct Entry
+    {
+        std::once_flag measured;
+        hw::PerfCounters perf;
+    };
+
     std::unique_ptr<hw::HwMachine> machine;
-    std::mutex mutex;
-    std::map<std::string, hw::PerfCounters> cache;
+    std::mutex mutex; //!< guards the map; entries are address-stable
+    std::map<std::string, Entry> cache;
 };
 
 } // namespace raceval::validate

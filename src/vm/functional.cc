@@ -17,13 +17,23 @@ FunctionalCore::FunctionalCore(const isa::Program &program,
 {
     isa::Decoder semantic_decoder;
     isa::Decoder exposed_decoder(exposed_decoder_options);
-    semantic.resize(prog.code.size());
-    exposed.resize(prog.code.size());
+    code.resize(prog.code.size());
     for (size_t i = 0; i < prog.code.size(); ++i) {
-        if (!semantic_decoder.decode(prog.code[i], semantic[i]))
+        uint32_t word = prog.code[i];
+        isa::DecodedInst semantic;
+        if (!semantic_decoder.decode(word, semantic))
             fatal("program '%s': undecodable word 0x%08x at index %zu",
-                  prog.name.c_str(), prog.code[i], i);
-        exposed_decoder.decode(prog.code[i], exposed[i]);
+                  prog.name.c_str(), word, i);
+        StaticInst &si = code[i];
+        exposed_decoder.decode(word, si.exposed);
+        si.imm = semantic.imm;
+        si.op = semantic.op;
+        si.f0 = word & 0x1f;
+        si.f1 = (word >> 5) & 0x1f;
+        si.f2 = (word >> 10) & 0x1f;
+        si.f3 = (word >> 15) & 0x1f;
+        si.hw = semantic.hw;
+        si.memSize = semantic.memSize;
     }
     reset();
 }
@@ -60,12 +70,15 @@ FunctionalCore::next(DynInst &out)
     }
 
     uint64_t index = (pc - prog.codeBase) / 4;
-    RV_ASSERT(pc >= prog.codeBase && index < semantic.size(),
+    RV_ASSERT(pc >= prog.codeBase && index < code.size(),
               "program '%s': pc 0x%llx out of code range",
               prog.name.c_str(), static_cast<unsigned long long>(pc));
 
-    const isa::DecodedInst &inst = semantic[index];
-    RegFile &r = regFile;
+    const StaticInst &inst = code[index];
+    // x31 reads zero: it is zeroed after every instruction, so a write
+    // to it lasts only until then.
+    uint64_t *x = regFile.x;
+    double *d = regFile.d;
     uint64_t next_pc = pc + 4;
     uint64_t mem_addr = 0;
     bool taken = false;
@@ -75,170 +88,164 @@ FunctionalCore::next(DynInst &out)
         taken = true;
     };
 
-    // Raw 5-bit fields, needed where the decoded src list is not a
-    // faithful operand list (e.g. store data vs. address operands).
-    uint32_t word = prog.code[index];
-    uint8_t f0 = word & 0x1f;
-    uint8_t f1 = (word >> 5) & 0x1f;
-    uint8_t f2 = (word >> 10) & 0x1f;
-    uint8_t f3 = (word >> 15) & 0x1f;
+    const uint8_t f0 = inst.f0, f1 = inst.f1, f2 = inst.f2, f3 = inst.f3;
 
     switch (inst.op) {
-      case Opcode::Add: r.writeX(f0, r.readX(f1) + r.readX(f2)); break;
-      case Opcode::Sub: r.writeX(f0, r.readX(f1) - r.readX(f2)); break;
-      case Opcode::And: r.writeX(f0, r.readX(f1) & r.readX(f2)); break;
-      case Opcode::Orr: r.writeX(f0, r.readX(f1) | r.readX(f2)); break;
-      case Opcode::Eor: r.writeX(f0, r.readX(f1) ^ r.readX(f2)); break;
+      case Opcode::Add: x[f0] = x[f1] + x[f2]; break;
+      case Opcode::Sub: x[f0] = x[f1] - x[f2]; break;
+      case Opcode::And: x[f0] = x[f1] & x[f2]; break;
+      case Opcode::Orr: x[f0] = x[f1] | x[f2]; break;
+      case Opcode::Eor: x[f0] = x[f1] ^ x[f2]; break;
       case Opcode::Lsl:
-        r.writeX(f0, r.readX(f1) << (r.readX(f2) & 63));
+        x[f0] = x[f1] << (x[f2] & 63);
         break;
       case Opcode::Lsr:
-        r.writeX(f0, r.readX(f1) >> (r.readX(f2) & 63));
+        x[f0] = x[f1] >> (x[f2] & 63);
         break;
       case Opcode::Asr:
-        r.writeX(f0, static_cast<uint64_t>(
-            static_cast<int64_t>(r.readX(f1)) >> (r.readX(f2) & 63)));
+        x[f0] = static_cast<uint64_t>(
+            static_cast<int64_t>(x[f1]) >> (x[f2] & 63));
         break;
-      case Opcode::Mul: r.writeX(f0, r.readX(f1) * r.readX(f2)); break;
+      case Opcode::Mul: x[f0] = x[f1] * x[f2]; break;
       case Opcode::Madd:
-        r.writeX(f0, r.readX(f1) * r.readX(f2) + r.readX(f3));
+        x[f0] = x[f1] * x[f2] + x[f3];
         break;
       case Opcode::Udiv:
-        r.writeX(f0, r.readX(f2) == 0 ? 0 : r.readX(f1) / r.readX(f2));
+        x[f0] = x[f2] == 0 ? 0 : x[f1] / x[f2];
         break;
       case Opcode::Sdiv: {
-        int64_t den = static_cast<int64_t>(r.readX(f2));
-        int64_t num = static_cast<int64_t>(r.readX(f1));
-        r.writeX(f0, den == 0 ? 0 : static_cast<uint64_t>(num / den));
+        int64_t den = static_cast<int64_t>(x[f2]);
+        int64_t num = static_cast<int64_t>(x[f1]);
+        x[f0] = den == 0 ? 0 : static_cast<uint64_t>(num / den);
         break;
       }
       case Opcode::Addi:
-        r.writeX(f0, r.readX(f1) + static_cast<uint64_t>(inst.imm));
+        x[f0] = x[f1] + static_cast<uint64_t>(inst.imm);
         break;
       case Opcode::Subi:
-        r.writeX(f0, r.readX(f1) - static_cast<uint64_t>(inst.imm));
+        x[f0] = x[f1] - static_cast<uint64_t>(inst.imm);
         break;
       case Opcode::Andi:
-        r.writeX(f0, r.readX(f1) & static_cast<uint64_t>(inst.imm));
+        x[f0] = x[f1] & static_cast<uint64_t>(inst.imm);
         break;
       case Opcode::Orri:
-        r.writeX(f0, r.readX(f1) | static_cast<uint64_t>(inst.imm));
+        x[f0] = x[f1] | static_cast<uint64_t>(inst.imm);
         break;
       case Opcode::Eori:
-        r.writeX(f0, r.readX(f1) ^ static_cast<uint64_t>(inst.imm));
+        x[f0] = x[f1] ^ static_cast<uint64_t>(inst.imm);
         break;
       case Opcode::Lsli:
-        r.writeX(f0, r.readX(f1) << (inst.imm & 63));
+        x[f0] = x[f1] << (inst.imm & 63);
         break;
       case Opcode::Lsri:
-        r.writeX(f0, r.readX(f1) >> (inst.imm & 63));
+        x[f0] = x[f1] >> (inst.imm & 63);
         break;
       case Opcode::Asri:
-        r.writeX(f0, static_cast<uint64_t>(
-            static_cast<int64_t>(r.readX(f1)) >> (inst.imm & 63)));
+        x[f0] = static_cast<uint64_t>(
+            static_cast<int64_t>(x[f1]) >> (inst.imm & 63));
         break;
       case Opcode::Movz:
-        r.writeX(f0, static_cast<uint64_t>(inst.imm) << (16 * inst.hw));
+        x[f0] = static_cast<uint64_t>(inst.imm) << (16 * inst.hw);
         break;
       case Opcode::Movk: {
         uint64_t mask = 0xffffull << (16 * inst.hw);
-        r.writeX(f0, (r.readX(f0) & ~mask)
-                 | (static_cast<uint64_t>(inst.imm) << (16 * inst.hw)));
+        x[f0] = (x[f0] & ~mask)
+                 | (static_cast<uint64_t>(inst.imm) << (16 * inst.hw));
         break;
       }
 
       case Opcode::Ldr:
-        mem_addr = r.readX(f1) + static_cast<uint64_t>(inst.imm);
-        r.writeX(f0, mem.read(mem_addr, inst.memSize));
+        mem_addr = x[f1] + static_cast<uint64_t>(inst.imm);
+        x[f0] = mem.read(mem_addr, inst.memSize);
         break;
       case Opcode::Str:
-        mem_addr = r.readX(f1) + static_cast<uint64_t>(inst.imm);
-        mem.write(mem_addr, inst.memSize, r.readX(f0));
+        mem_addr = x[f1] + static_cast<uint64_t>(inst.imm);
+        mem.write(mem_addr, inst.memSize, x[f0]);
         break;
       case Opcode::Ldx:
-        mem_addr = r.readX(f1) + r.readX(f2);
-        r.writeX(f0, mem.read(mem_addr, inst.memSize));
+        mem_addr = x[f1] + x[f2];
+        x[f0] = mem.read(mem_addr, inst.memSize);
         break;
       case Opcode::Stx:
-        mem_addr = r.readX(f1) + r.readX(f2);
-        mem.write(mem_addr, inst.memSize, r.readX(f0));
+        mem_addr = x[f1] + x[f2];
+        mem.write(mem_addr, inst.memSize, x[f0]);
         break;
       case Opcode::Ldrf:
-        mem_addr = r.readX(f1) + static_cast<uint64_t>(inst.imm);
-        r.d[f0] = inst.memSize == 4 ? mem.readFloat(mem_addr)
+        mem_addr = x[f1] + static_cast<uint64_t>(inst.imm);
+        d[f0] = inst.memSize == 4 ? mem.readFloat(mem_addr)
                                     : mem.readDouble(mem_addr);
         break;
       case Opcode::Strf:
-        mem_addr = r.readX(f1) + static_cast<uint64_t>(inst.imm);
+        mem_addr = x[f1] + static_cast<uint64_t>(inst.imm);
         if (inst.memSize == 4)
-            mem.writeFloat(mem_addr, r.d[f0]);
+            mem.writeFloat(mem_addr, d[f0]);
         else
-            mem.writeDouble(mem_addr, r.d[f0]);
+            mem.writeDouble(mem_addr, d[f0]);
         break;
 
       case Opcode::B:
         branch_to(inst.imm);
         break;
       case Opcode::Bl:
-        r.writeX(isa::regLink, pc + 4);
+        x[isa::regLink] = pc + 4;
         branch_to(inst.imm);
         break;
       case Opcode::Ret:
       case Opcode::Br:
-        next_pc = r.readX(f1);
+        next_pc = x[f1];
         taken = true;
         break;
       case Opcode::Cbz:
-        if (r.readX(f0) == 0)
+        if (x[f0] == 0)
             branch_to(inst.imm);
         break;
       case Opcode::Cbnz:
-        if (r.readX(f0) != 0)
+        if (x[f0] != 0)
             branch_to(inst.imm);
         break;
       case Opcode::Beq:
-        if (r.readX(f0) == r.readX(f1))
+        if (x[f0] == x[f1])
             branch_to(inst.imm);
         break;
       case Opcode::Bne:
-        if (r.readX(f0) != r.readX(f1))
+        if (x[f0] != x[f1])
             branch_to(inst.imm);
         break;
       case Opcode::Blt:
-        if (static_cast<int64_t>(r.readX(f0))
-            < static_cast<int64_t>(r.readX(f1)))
+        if (static_cast<int64_t>(x[f0])
+            < static_cast<int64_t>(x[f1]))
             branch_to(inst.imm);
         break;
       case Opcode::Bge:
-        if (static_cast<int64_t>(r.readX(f0))
-            >= static_cast<int64_t>(r.readX(f1)))
+        if (static_cast<int64_t>(x[f0])
+            >= static_cast<int64_t>(x[f1]))
             branch_to(inst.imm);
         break;
 
-      case Opcode::Fadd: r.d[f0] = r.d[f1] + r.d[f2]; break;
-      case Opcode::Fsub: r.d[f0] = r.d[f1] - r.d[f2]; break;
-      case Opcode::Fmul: r.d[f0] = r.d[f1] * r.d[f2]; break;
+      case Opcode::Fadd: d[f0] = d[f1] + d[f2]; break;
+      case Opcode::Fsub: d[f0] = d[f1] - d[f2]; break;
+      case Opcode::Fmul: d[f0] = d[f1] * d[f2]; break;
       case Opcode::Fdiv:
-        r.d[f0] = r.d[f2] == 0.0 ? 0.0 : r.d[f1] / r.d[f2];
+        d[f0] = d[f2] == 0.0 ? 0.0 : d[f1] / d[f2];
         break;
       case Opcode::Fsqrt:
-        r.d[f0] = std::sqrt(std::fabs(r.d[f1]));
+        d[f0] = std::sqrt(std::fabs(d[f1]));
         break;
       case Opcode::Fmadd:
-        r.d[f0] = r.d[f1] * r.d[f2] + r.d[f3];
+        d[f0] = d[f1] * d[f2] + d[f3];
         break;
       case Opcode::Fcvt:
-        r.d[f0] = static_cast<double>(static_cast<float>(r.d[f1]));
+        d[f0] = static_cast<double>(static_cast<float>(d[f1]));
         break;
-      case Opcode::Fmov: r.d[f0] = r.d[f1]; break;
+      case Opcode::Fmov: d[f0] = d[f1]; break;
       case Opcode::Fclt:
-        r.writeX(f0, r.d[f1] < r.d[f2] ? 1 : 0);
+        x[f0] = d[f1] < d[f2] ? 1 : 0;
         break;
       // SIMD classes share scalar semantics; only timing differs.
-      case Opcode::Vadd: r.d[f0] = r.d[f1] + r.d[f2]; break;
-      case Opcode::Vmul: r.d[f0] = r.d[f1] * r.d[f2]; break;
+      case Opcode::Vadd: d[f0] = d[f1] + d[f2]; break;
+      case Opcode::Vmul: d[f0] = d[f1] * d[f2]; break;
       case Opcode::Vfma:
-        r.d[f0] = r.d[f1] * r.d[f2] + r.d[f3];
+        d[f0] = d[f1] * d[f2] + d[f3];
         break;
 
       case Opcode::Nop:
@@ -251,8 +258,10 @@ FunctionalCore::next(DynInst &out)
               static_cast<int>(inst.op));
     }
 
+    x[isa::regZero] = 0;
+
     out.pc = pc;
-    out.inst = exposed[index];
+    out.inst = inst.exposed;
     out.memAddr = mem_addr;
     out.nextPc = next_pc;
     out.taken = taken;

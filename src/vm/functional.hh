@@ -35,14 +35,6 @@ struct RegFile
     {
         return reg == isa::regZero ? 0 : x[reg];
     }
-
-    /** Write an integer register (writes to x31 are discarded). */
-    void
-    writeX(uint8_t reg, uint64_t value)
-    {
-        if (reg != isa::regZero)
-            x[reg] = value;
-    }
 };
 
 /**
@@ -84,11 +76,25 @@ class FunctionalCore : public TraceSource
     uint64_t run();
 
   private:
+    /**
+     * One static instruction: what next() executes, from the semantic
+     * (always correct) decode and the raw register fields, next to the
+     * exposed (possibly fault-injected) decode it embeds in DynInsts.
+     */
+    struct StaticInst
+    {
+        isa::DecodedInst exposed;
+        int64_t imm = 0;
+        isa::Opcode op = isa::Opcode::Nop;
+        /** Raw 5-bit fields, needed where the decoded src list is not
+         *  a faithful operand list (e.g. store data vs. address). */
+        uint8_t f0 = 0, f1 = 0, f2 = 0, f3 = 0;
+        uint8_t hw = 0;
+        uint8_t memSize = 0;
+    };
+
     const isa::Program &prog;
-    /** Semantic decode (always correct). */
-    std::vector<isa::DecodedInst> semantic;
-    /** Exposed decode (possibly fault-injected), embedded in DynInsts. */
-    std::vector<isa::DecodedInst> exposed;
+    std::vector<StaticInst> code;
 
     RegFile regFile;
     SparseMemory mem;

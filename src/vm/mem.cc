@@ -1,44 +1,101 @@
 #include "vm/mem.hh"
 
+#include <bit>
 #include <cstring>
 
 namespace raceval::vm
 {
 
-uint8_t
-SparseMemory::peek(uint64_t addr) const
+namespace
 {
-    auto it = pages.find(addr / pageBytes);
-    if (it == pages.end())
-        return 0;
-    return (*it->second)[addr % pageBytes];
+
+constexpr size_t minSlots = 64;
+
+} // namespace
+
+size_t
+SparseMemory::slotOf(uint64_t num) const
+{
+    size_t mask = slots.size() - 1;
+    size_t i = static_cast<size_t>((num * 0x9e3779b97f4a7c15ull)
+                                   >> slotShift);
+    while (slots[i].num != num && slots[i].num != freeNum)
+        i = (i + 1) & mask;
+    return i;
 }
 
-void
-SparseMemory::poke(uint64_t addr, uint8_t byte)
+const uint8_t *
+SparseMemory::findPage(uint64_t num) const
 {
-    auto &page = pages[addr / pageBytes];
-    if (!page) {
-        page = std::make_unique<Page>();
-        page->fill(0);
+    if (num == cachedNum)
+        return cachedPage;
+    const Slot &slot = slots[slotOf(num)];
+    if (slot.num == freeNum)
+        return nullptr;
+    cachedNum = num;
+    cachedPage = slot.page->data();
+    return cachedPage;
+}
+
+uint8_t *
+SparseMemory::touchPage(uint64_t num)
+{
+    if (num == cachedNum)
+        return cachedPage;
+    size_t i = slotOf(num);
+    if (slots[i].num == freeNum) {
+        if (2 * (used + 1) > slots.size()) {
+            // Grow: rehash every page into a table twice the size.
+            std::vector<Slot> old(slots.size() * 2);
+            old.swap(slots);
+            --slotShift;
+            for (Slot &slot : old) {
+                if (slot.num != freeNum)
+                    slots[slotOf(slot.num)] = std::move(slot);
+            }
+            i = slotOf(num);
+        }
+        slots[i].num = num;
+        slots[i].page = std::make_unique<Page>(); // value-init: all zero
+        ++used;
     }
-    (*page)[addr % pageBytes] = byte;
+    cachedNum = num;
+    cachedPage = slots[i].page->data();
+    return cachedPage;
 }
 
 uint64_t
-SparseMemory::read(uint64_t addr, unsigned size) const
+SparseMemory::readSlow(uint64_t addr, unsigned size) const
 {
+    uint64_t offset = addr % pageBytes;
+    if (offset + size <= pageBytes) {
+        const uint8_t *page = findPage(addr / pageBytes);
+        uint64_t value = 0;
+        if (page)
+            copyBytes(&value, page + offset, size);
+        return value;
+    }
     uint64_t value = 0;
-    for (unsigned i = 0; i < size; ++i)
-        value |= static_cast<uint64_t>(peek(addr + i)) << (8 * i);
+    for (unsigned i = 0; i < size; ++i) {
+        const uint8_t *page = findPage((addr + i) / pageBytes);
+        if (page)
+            value |= static_cast<uint64_t>(page[(addr + i) % pageBytes])
+                << (8 * i);
+    }
     return value;
 }
 
 void
-SparseMemory::write(uint64_t addr, unsigned size, uint64_t value)
+SparseMemory::writeSlow(uint64_t addr, unsigned size, uint64_t value)
 {
+    uint64_t offset = addr % pageBytes;
+    if (offset + size <= pageBytes) {
+        copyBytes(touchPage(addr / pageBytes) + offset, &value, size);
+        return;
+    }
     for (unsigned i = 0; i < size; ++i)
-        poke(addr + i, static_cast<uint8_t>(value >> (8 * i)));
+        touchPage((addr + i) / pageBytes)[(addr + i) % pageBytes] =
+            static_cast<uint8_t>(value >> (8 * i));
 }
 
 double
@@ -79,14 +136,26 @@ SparseMemory::writeFloat(uint64_t addr, double value)
 void
 SparseMemory::load(uint64_t base, const uint8_t *bytes, size_t len)
 {
-    for (size_t i = 0; i < len; ++i)
-        poke(base + i, bytes[i]);
+    while (len > 0) {
+        uint64_t offset = base % pageBytes;
+        size_t chunk = pageBytes - offset < len
+            ? static_cast<size_t>(pageBytes - offset) : len;
+        std::memcpy(touchPage(base / pageBytes) + offset, bytes, chunk);
+        base += chunk;
+        bytes += chunk;
+        len -= chunk;
+    }
 }
 
 void
 SparseMemory::clear()
 {
-    pages.clear();
+    slots.clear();
+    slots.resize(minSlots);
+    slotShift = 64 - std::countr_zero(minSlots);
+    used = 0;
+    cachedNum = freeNum;
+    cachedPage = nullptr;
 }
 
 } // namespace raceval::vm

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "hw/machine.hh"
+#include "scenario/scenario.hh"
 #include "ubench/ubench.hh"
 #include "vm/functional.hh"
 
@@ -98,4 +104,77 @@ TEST(Hw, RunsEveryUbenchWithoutBlowingUp)
         EXPECT_GT(stats.instructions, 0u) << info.name;
         EXPECT_LT(stats.cpi(), 400.0) << info.name;
     }
+}
+
+namespace
+{
+
+/** FNV-1a, one 64-bit word at a time. */
+void
+mixDigest(uint64_t &h, uint64_t word)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (word >> (8 * i)) & 0xff;
+        h *= 0x100000001b3ull;
+    }
+}
+
+} // namespace
+
+/*
+ * Board-counter lock: the detailed machines are the ground truth every
+ * race is scored against, so a speed-up of the board models must not
+ * move one counter. The digest covers the perf counters of every target
+ * board over a fixed subset of all three workload suites (zero-page
+ * reads, store-buffer traffic, divides, long firmware loops). It was
+ * recorded before the board models were last optimised; a change that
+ * moves it changes the ground truth and every tuned result.
+ */
+TEST(Hw, BoardCounterDigestIsLocked)
+{
+    const std::vector<std::string> subset = {
+        "M_Dyn", "ML2_BW_ldst", "STL2b", "CCh", "DPTd", "EM5",
+        "xalancbmk", "povray", "fw-timer-wheel"};
+    uint64_t digest = 0xcbf29ce484222325ull;
+    size_t measured = 0;
+    std::string table;
+    for (const scenario::TargetBoard &target : scenario::targets()) {
+        auto machine = hw::makeMachine(target.secret(), target.outOfOrderHw);
+        for (const scenario::WorkloadSuite &suite :
+             scenario::workloadSuites()) {
+            for (size_t i = 0; i < suite.count(); ++i) {
+                const std::string name = suite.nameAt(i);
+                if (std::find(subset.begin(), subset.end(), name)
+                    == subset.end())
+                    continue;
+                isa::Program prog = suite.buildAt(i);
+                vm::FunctionalCore src(prog);
+                hw::PerfCounters perf = machine->measure(src);
+                char line[160];
+                std::snprintf(line, sizeof(line),
+                              "%s %s inst=%llu cycles=%llu bmiss=%llu "
+                              "l1dmiss=%llu l2miss=%llu\n",
+                              target.name, name.c_str(),
+                              static_cast<unsigned long long>(
+                                  perf.instructions),
+                              static_cast<unsigned long long>(perf.cycles),
+                              static_cast<unsigned long long>(
+                                  perf.branchMisses),
+                              static_cast<unsigned long long>(
+                                  perf.l1dMisses),
+                              static_cast<unsigned long long>(
+                                  perf.l2Misses));
+                table += line;
+                mixDigest(digest, perf.instructions);
+                mixDigest(digest, perf.cycles);
+                mixDigest(digest, perf.branchMisses);
+                mixDigest(digest, perf.l1dMisses);
+                mixDigest(digest, perf.l2Misses);
+                ++measured;
+            }
+        }
+    }
+    EXPECT_EQ(measured, subset.size() * scenario::targets().size());
+    EXPECT_EQ(digest, 0x0bbfbab973793ff6ull)
+        << std::hex << "digest 0x" << digest << "\n" << table;
 }

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/log.hh"
 #include "common/rng.hh"
@@ -179,6 +183,60 @@ TEST(Oracle, CachesMeasurements)
     hw::PerfCounters b = oracle.measure(prog);
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.benchmark, "EI");
+}
+
+namespace
+{
+
+/** A board that counts how often it is run. */
+class CountingMachine : public hw::HwMachine
+{
+  public:
+    CountingMachine() : hw::HwMachine(hw::secretA53()) {}
+
+    core::CoreStats
+    rawRun(vm::TraceSource &source) override
+    {
+        ++runs;
+        // Long enough that every caller arrives while it runs.
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        core::CoreStats stats;
+        stats.instructions = source.name().size();
+        stats.cycles = 1000;
+        return stats;
+    }
+
+    std::atomic<int> runs{0};
+};
+
+} // namespace
+
+TEST(Oracle, ConcurrentFirstCallersShareOneMeasurement)
+{
+    auto owned = std::make_unique<CountingMachine>();
+    CountingMachine &board = *owned;
+    HardwareOracle oracle(std::move(owned));
+    isa::Program ei = ubench::find("EI")->builder(500, true);
+    isa::Program cca = ubench::find("CCa")->builder(500, true);
+
+    constexpr int perName = 4;
+    std::vector<hw::PerfCounters> results(2 * perName);
+    std::vector<std::thread> callers;
+    for (int i = 0; i < 2 * perName; ++i) {
+        callers.emplace_back([&, i] {
+            results[i] = oracle.measure(i % 2 ? cca : ei);
+        });
+    }
+    for (std::thread &caller : callers)
+        caller.join();
+
+    EXPECT_EQ(board.runs.load(), 2); // once per name, not per caller
+    for (int i = 0; i < 2 * perName; ++i) {
+        EXPECT_EQ(results[i].benchmark, i % 2 ? "CCa" : "EI");
+        EXPECT_EQ(results[i].cycles, results[i % 2].cycles);
+    }
+    oracle.measure(ei);
+    EXPECT_EQ(board.runs.load(), 2);
 }
 
 TEST(Flow, TuningImprovesOnPublicInfo)

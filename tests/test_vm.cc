@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "isa/assembler.hh"
 #include "common/log.hh"
@@ -236,4 +237,101 @@ TEST(SparseMemory, FloatRoundTrip)
     EXPECT_DOUBLE_EQ(mem.readDouble(0x40), 3.14159);
     mem.writeFloat(0x80, 2.5);
     EXPECT_DOUBLE_EQ(mem.readFloat(0x80), 2.5);
+}
+
+TEST(SparseMemory, EverySizeRoundTripsAcrossAPageBoundary)
+{
+    constexpr uint64_t page = vm::SparseMemory::pageBytes;
+    const uint64_t pattern = 0x8877665544332211ull;
+    for (unsigned size : {1u, 2u, 4u, 8u}) {
+        uint64_t mask = size == 8 ? ~0ull : (1ull << (8 * size)) - 1;
+        // Every split: 1..size-1 bytes on the first page (size 1 ends
+        // exactly at the boundary).
+        for (unsigned before = 1; before <= size; ++before) {
+            vm::SparseMemory mem;
+            uint64_t addr = 3 * page - before;
+            mem.write(addr, size, pattern);
+            EXPECT_EQ(mem.read(addr, size), pattern & mask)
+                << "size " << size << " split " << before;
+            for (unsigned i = 0; i < size; ++i)
+                EXPECT_EQ(mem.read(addr + i, 1), (pattern >> (8 * i)) & 0xff);
+            EXPECT_EQ(mem.read(addr - 1, 1), 0u);
+            EXPECT_EQ(mem.read(addr + size, 1), 0u);
+            EXPECT_EQ(mem.pageCount(), before == size ? 1u : 2u);
+        }
+    }
+}
+
+TEST(SparseMemory, StraddlingReadsOfUnwrittenPagesReadZero)
+{
+    constexpr uint64_t page = vm::SparseMemory::pageBytes;
+    vm::SparseMemory mem;
+    mem.write(page - 2, 2, 0xbeef);
+    // High bytes come from the next page, which was never written.
+    EXPECT_EQ(mem.read(page - 2, 8), 0xbeefu);
+    // Low bytes come from an unwritten page below a written one.
+    mem.write(4 * page, 2, 0xcafe);
+    EXPECT_EQ(mem.read(4 * page - 2, 4), 0xcafe0000u);
+    EXPECT_EQ(mem.read(7 * page + 5, 8), 0u);
+    EXPECT_EQ(mem.pageCount(), 2u); // reads never allocate
+}
+
+TEST(SparseMemory, ClearDropsThePageCache)
+{
+    vm::SparseMemory mem;
+    mem.write(0x5000, 8, 0x1122334455667788ull);
+    EXPECT_EQ(mem.read(0x5000, 8), 0x1122334455667788ull); // cached
+    mem.clear();
+    EXPECT_EQ(mem.pageCount(), 0u);
+    EXPECT_EQ(mem.read(0x5000, 8), 0u);
+    EXPECT_EQ(mem.read(0x5004, 2), 0u);
+    mem.write(0x5002, 1, 0x7f);
+    EXPECT_EQ(mem.read(0x5000, 4), 0x7f0000u);
+    EXPECT_EQ(mem.pageCount(), 1u);
+}
+
+TEST(SparseMemory, ManyPagesKeepTheirContents)
+{
+    // Enough pages to grow the page table several times.
+    constexpr uint64_t page = vm::SparseMemory::pageBytes;
+    vm::SparseMemory mem;
+    for (uint64_t i = 0; i < 1000; ++i)
+        mem.write(i * 7 * page + i % 64, 8, i * 0x9e3779b97f4a7c15ull);
+    EXPECT_EQ(mem.pageCount(), 1000u);
+    for (uint64_t i = 0; i < 1000; ++i)
+        EXPECT_EQ(mem.read(i * 7 * page + i % 64, 8),
+                  i * 0x9e3779b97f4a7c15ull);
+}
+
+TEST(SparseMemory, LoadCopiesSegmentsAcrossPages)
+{
+    constexpr uint64_t page = vm::SparseMemory::pageBytes;
+    std::vector<uint8_t> bytes(2 * page + 100);
+    for (size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<uint8_t>(i * 31 + 7);
+    vm::SparseMemory mem;
+    mem.load(page - 50, bytes.data(), bytes.size());
+    EXPECT_EQ(mem.pageCount(), 4u);
+    for (size_t i = 0; i < bytes.size(); ++i)
+        ASSERT_EQ(mem.read(page - 50 + i, 1), bytes[i]) << i;
+    EXPECT_EQ(mem.read(page - 51, 1), 0u);
+}
+
+TEST(SparseMemory, FloatAndDoubleRoundTripAcrossAPageBoundary)
+{
+    constexpr uint64_t page = vm::SparseMemory::pageBytes;
+    vm::SparseMemory mem;
+    for (uint64_t before = 1; before < 8; ++before) {
+        uint64_t addr = 10 * page - before;
+        double value = -1234.5678 / static_cast<double>(before);
+        mem.writeDouble(addr, value);
+        EXPECT_EQ(mem.readDouble(addr), value) << before;
+    }
+    for (uint64_t before = 1; before < 4; ++before) {
+        uint64_t addr = 20 * page - before;
+        double value = static_cast<double>(static_cast<float>(
+            3.14159 * static_cast<double>(before)));
+        mem.writeFloat(addr, value);
+        EXPECT_EQ(mem.readFloat(addr), value) << before;
+    }
 }
