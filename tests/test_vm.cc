@@ -245,8 +245,8 @@ TEST(SparseMemory, EverySizeRoundTripsAcrossAPageBoundary)
     const uint64_t pattern = 0x8877665544332211ull;
     for (unsigned size : {1u, 2u, 4u, 8u}) {
         uint64_t mask = size == 8 ? ~0ull : (1ull << (8 * size)) - 1;
-        // Every split: 1..size-1 bytes on the first page (size 1 ends
-        // exactly at the boundary).
+        // Every split: `before` bytes on the first page, the rest on
+        // the next; before == size ends exactly at the boundary.
         for (unsigned before = 1; before <= size; ++before) {
             vm::SparseMemory mem;
             uint64_t addr = 3 * page - before;
